@@ -11,8 +11,6 @@ from .kron import (
     khatri_rao_rows,
     kron_materialize,
     kron_norm_sq,
-    linear_index,
-    multi_index,
     multi_index_array,
 )
 from .transforms import (
@@ -28,15 +26,13 @@ from .transforms import (
     kfjlt_apply_kron,
     materialize_operator,
     mix_factor,
+    mix_modes,
     rademacher,
-    unitary_dft,
-    unitary_idft,
 )
 from .sketch_ls import (
     KrlsProblem,
     ResidualReport,
     SketchedLsResult,
-    SketchedSystem,
     build_sketched_system,
     complexify,
     exact_ls_solution,
@@ -62,7 +58,6 @@ from .cprand import (
     reconstruct,
     save_tensor,
     unfold,
-    unmix_factor,
 )
 from .testkit import (
     BlockNormReport,
@@ -79,5 +74,4 @@ from .testkit import (
 )
 from .bench import ExperimentConfig, TrialRecord, emit_csv, run_experiment
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

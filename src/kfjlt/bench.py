@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cprand as cp
-from .kron import KroneckerVector, Shape, kron_materialize, kron_norm_sq, multi_index_array
+from .kron import KroneckerVector, Shape, khatri_rao_rows, kron_materialize, kron_norm_sq
 from .sketch_ls import KrlsProblem, residual_ratio, solve_sketched_ls
 from .testkit import hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
@@ -35,6 +35,7 @@ from .transforms import (
     fjlt_apply,
     kfjlt_apply_dense,
     kfjlt_apply_kron,
+    mix_factor,
     seed_children,
 )
 
@@ -70,6 +71,13 @@ class ExperimentConfig:
         Shape(self.shape)  # validates
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        for m in self.m_grid:
+            if m < 1:
+                raise ValueError(f"every m must be >= 1, got m={m} in {self.m_grid}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
         if self.dist not in ("gaussian", "uniform01"):
             raise ValueError(f"unknown distribution {self.dist!r}")
         if self.structure not in ("kron", "generic"):
@@ -102,7 +110,6 @@ class TrialRecord:
     trial: int
     seed: int
     value: float
-    timestamp: float | None = None  # provenance only, never serialized
 
 
 def group_dims(dims, degree: int) -> tuple[int, ...]:
@@ -227,7 +234,6 @@ def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
                         trial,
                         _seed_value(ss),
                         distortion_ratio(embedded, orig),
-                        time.time(),
                     )
                 )
     return records
@@ -249,12 +255,8 @@ def _timed_kfjlt_pass(factor_stacks, op: KfjltOperator) -> int:
     """Embed a corpus the structured way: mix each factor, trace sampled
     indices back. Returns elapsed nanoseconds."""
     t0 = time.perf_counter_ns()
-    coords = multi_index_array(op.shape, op.rows)
-    out = None
-    for fs, sv, c in zip(factor_stacks, op.sign_vectors, coords):
-        mixed = np.fft.fft(fs * sv.signs[None, :], axis=1, norm="ortho")[:, c]
-        out = mixed if out is None else out * mixed
-    _ = op.scale * out
+    mixed = [mix_factor(fs.T, sv) for fs, sv in zip(factor_stacks, op.sign_vectors)]
+    _ = op.scale * khatri_rao_rows(mixed, op.rows)
     return time.perf_counter_ns() - t0
 
 
@@ -298,7 +300,6 @@ def run_timing(config: ExperimentConfig, repeats: int = 3) -> list[TrialRecord]:
                         rep,
                         _seed_value(ss),
                         float(runner()),
-                        time.time(),
                     )
                 )
     return records
@@ -345,7 +346,6 @@ def run_ls(config: ExperimentConfig) -> list[TrialRecord]:
                     trial,
                     _seed_value(ss),
                     report.value,
-                    time.time(),
                 )
             )
     return records
@@ -372,11 +372,11 @@ def run_cprand(config: ExperimentConfig) -> list[TrialRecord]:
                 max_sweeps=config.max_sweeps, fit_tol=config.fit_tol,
             )
             for sweep, (f, sec) in enumerate(zip(als.fits, als.sweep_seconds)):
-                records.append(TrialRecord(config.experiment_id, "cp-als-fit", 0, sweep, seed_val, f, time.time()))
-                records.append(TrialRecord(config.experiment_id, "cp-als-time", 0, sweep, seed_val, sec, time.time()))
+                records.append(TrialRecord(config.experiment_id, "cp-als-fit", 0, sweep, seed_val, f))
+                records.append(TrialRecord(config.experiment_id, "cp-als-time", 0, sweep, seed_val, sec))
             for sweep, (f, sec) in enumerate(zip(sketched.fits, sketched.sweep_seconds)):
-                records.append(TrialRecord(config.experiment_id, "cprand-mix-fit", m, sweep, seed_val, f, time.time()))
-                records.append(TrialRecord(config.experiment_id, "cprand-mix-time", m, sweep, seed_val, sec, time.time()))
+                records.append(TrialRecord(config.experiment_id, "cprand-mix-fit", m, sweep, seed_val, f))
+                records.append(TrialRecord(config.experiment_id, "cprand-mix-time", m, sweep, seed_val, sec))
     return records
 
 
@@ -393,8 +393,8 @@ def run_concentration(config: ExperimentConfig) -> list[TrialRecord]:
             t = tmul * float(np.linalg.norm(x))
             rep = hoeffding_tail_check(x, t, trials=config.trials, rng=rng)
             seed_val = _seed_value(ss)
-            records.append(TrialRecord(config.experiment_id, "hoeffding", n, case, seed_val, rep.frequency, time.time()))
-            records.append(TrialRecord(config.experiment_id, "hoeffding-bound", n, case, seed_val, rep.bound, time.time()))
+            records.append(TrialRecord(config.experiment_id, "hoeffding", n, case, seed_val, rep.frequency))
+            records.append(TrialRecord(config.experiment_id, "hoeffding-bound", n, case, seed_val, rep.bound))
             case += 1
     for n in (8, 10, 16):
         ss = trial_seed_sequence(config.seed, config.kind, "hanson-wright", n, case)
@@ -406,8 +406,8 @@ def run_concentration(config: ExperimentConfig) -> list[TrialRecord]:
             t = tmul * float(np.linalg.norm(mat, "fro"))
             rep = hanson_wright_tail_check(mat, t, trials=config.trials, rng=rng)
             seed_val = _seed_value(ss)
-            records.append(TrialRecord(config.experiment_id, "hanson-wright", n, case, seed_val, rep.frequency, time.time()))
-            records.append(TrialRecord(config.experiment_id, "hanson-wright-bound", n, case, seed_val, rep.bound, time.time()))
+            records.append(TrialRecord(config.experiment_id, "hanson-wright", n, case, seed_val, rep.frequency))
+            records.append(TrialRecord(config.experiment_id, "hanson-wright-bound", n, case, seed_val, rep.bound))
             case += 1
     return records
 
@@ -460,21 +460,3 @@ def emit_csv(records, path) -> tuple[Path, Path]:
     except OSError as exc:
         raise OSError(f"failed writing experiment output to {path}: {exc}") from exc
     return path, summary_path
-
-
-def read_csv(path) -> list[TrialRecord]:
-    """Parse a trial CSV back into records (round-trip helper)."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                TrialRecord(
-                    row["experiment"],
-                    row["method"],
-                    int(row["m"]),
-                    int(row["trial"]),
-                    int(row["seed"]),
-                    float(row["value"]),
-                )
-            )
-    return out

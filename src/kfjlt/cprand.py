@@ -2,7 +2,7 @@
 sketched ALS loop that mixes the tensor once and samples every inner solve.
 
 Modes are numbered 1..d (matching the math convention used for unfoldings);
-all linearizations are mode-1-fastest, consistent with ``kron.linear_index``.
+all linearizations are mode-1-fastest, the convention of the ``kron`` module.
 The mode-k unfolding has the remaining modes as columns in increasing mode
 order, so the unfolded rank-R model satisfies ``M_(k) = A_k @ Z_k.T`` with
 ``Z_k`` the Khatri-Rao product of the other factor matrices.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .kron import Shape, _check_cap, khatri_rao, khatri_rao_rows
 from .sketch_ls import complexify, least_squares
-from .transforms import SignVector, as_seed_sequence, mix_factor, rademacher, seed_children
+from .transforms import SignVector, as_seed_sequence, mix_factor, mix_modes, rademacher, seed_children
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,20 @@ def _gather_unfolding_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
 
 
 def reconstruct(model: CpModel, cap: int | None = None) -> DenseTensor:
-    """Sum of rank-one outer products, as a dense tensor."""
+    """Sum of rank-one outer products, as a dense tensor.
+
+    Accumulates one rank-one term at a time, so the working set is about
+    2N entries whatever the rank, and the cap bounds what is allocated.
+    """
     shape = model.shape
     _check_cap(shape.total, cap, "reconstructed tensor")
-    return DenseTensor(shape, khatri_rao(model.factors).sum(axis=1))
+    data = np.zeros(shape.total)
+    for r in range(model.rank):
+        term = model.factors[0][:, r]
+        for a in model.factors[1:]:
+            term = np.multiply.outer(a[:, r], term).reshape(-1)
+        data += term
+    return DenseTensor(shape, data)
 
 
 def objective(t: DenseTensor, model: CpModel) -> float:
@@ -232,29 +242,8 @@ def mix_tensor(t: DenseTensor, sign_vectors) -> DenseTensor:
     sign_vectors = tuple(sign_vectors)
     if len(sign_vectors) != t.shape.ndim:
         raise ValueError("need one sign vector per mode")
-    arr = t.as_array().astype(np.complex128)
-    for axis, sv in enumerate(sign_vectors):
-        if len(sv) != t.shape.dims[axis]:
-            raise ValueError("sign vector length mismatch")
-        bshape = [1] * t.shape.ndim
-        bshape[axis] = t.shape.dims[axis]
-        arr = np.fft.fft(arr * sv.signs.reshape(bshape), axis=axis, norm="ortho")
+    arr = mix_modes(t.as_array().astype(np.complex128), sign_vectors)
     return DenseTensor(t.shape, arr.reshape(-1, order="F"))
-
-
-def unmix_factor(mixed_factor, sv: SignVector, atol: float = 1e-8) -> np.ndarray:
-    """Invert the factor mixing: ``A_k = D_k F_k^* hat{A}_k``.
-
-    The imaginary residue is analytically zero for consistently mixed
-    factors; anything above ``atol`` (relative) indicates a convention bug.
-    """
-    mixed_factor = np.asarray(mixed_factor)
-    a = sv.signs[:, None] * np.fft.ifft(mixed_factor, axis=0, norm="ortho")
-    scale = max(1.0, float(np.abs(a).max()))
-    residue = float(np.abs(a.imag).max())
-    if residue > atol * scale:
-        raise ValueError(f"imaginary residue {residue:.3e} after un-mixing")
-    return a.real
 
 
 def cprand_mix_sweep(
@@ -322,7 +311,6 @@ def cprand_mix(
     init: CpModel | None = None,
     max_sweeps: int = 100,
     fit_tol: float = 1e-6,
-    exhaustive: bool = False,
 ) -> CprandMixResult:
     """Sketched CP fit: mix once, then sweep with fresh row samples per solve.
 
@@ -334,8 +322,8 @@ def cprand_mix(
     ss = as_seed_sequence(seed)
     sign_kid, init_kid, rows_kid = seed_children(ss, 3)
     sign_vectors = tuple(
-        rademacher(n, np.random.Generator(np.random.PCG64(kid)), f"mode {k + 1}")
-        for k, (n, kid) in enumerate(zip(t.shape.dims, seed_children(sign_kid, t.shape.ndim)))
+        rademacher(n, np.random.Generator(np.random.PCG64(kid)))
+        for n, kid in zip(t.shape.dims, seed_children(sign_kid, t.shape.ndim))
     )
     if init is None:
         init = random_model(t.shape, rank, np.random.Generator(np.random.PCG64(init_kid)))
@@ -353,7 +341,7 @@ def cprand_mix(
             sub_total = math.prod(_rest_dims(t.shape, mode))
             # A sketch larger than the full system buys nothing: take every
             # row once instead of oversampling with replacement.
-            if exhaustive or m >= sub_total:
+            if m >= sub_total:
                 rows_per_mode.append(np.arange(sub_total))
             else:
                 rows_per_mode.append(rows_rng.integers(0, sub_total, size=m))

@@ -88,36 +88,9 @@ class KroneckerVector:
         object.__setattr__(self, "shape", Shape(tuple(f.size for f in factors)))
 
 
-def linear_index(shape: Shape, coords) -> int:
-    """Map a multi-index ``(i_1, ..., i_d)`` to its linear index.
-
-    Mode 1 varies fastest: ``i = sum_k i_k * prod_{l<k} n_l``.
-    """
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != shape.ndim:
-        raise ValueError(f"expected {shape.ndim} coordinates, got {len(coords)}")
-    out = 0
-    for c, n, stride in zip(coords, shape.dims, shape.strides()):
-        if not 0 <= c < n:
-            raise ValueError(f"coordinate {c} out of range [0, {n})")
-        out += c * stride
-    return out
-
-
-def multi_index(shape: Shape, i: int) -> tuple[int, ...]:
-    """Inverse of :func:`linear_index`."""
-    i = int(i)
-    if not 0 <= i < shape.total:
-        raise ValueError(f"index {i} out of range [0, {shape.total})")
-    coords = []
-    for n in shape.dims:
-        i, c = divmod(i, n)
-        coords.append(c)
-    return tuple(coords)
-
-
 def multi_index_array(shape: Shape, idx) -> tuple[np.ndarray, ...]:
-    """Vectorized :func:`multi_index`: one coordinate array per mode."""
+    """Per-mode coordinates ``(i_1, ..., i_d)`` of linear indices, mode 1
+    fastest: one coordinate array per mode."""
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= shape.total):
         raise ValueError(f"indices out of range [0, {shape.total})")
@@ -146,7 +119,8 @@ def khatri_rao(matrices) -> np.ndarray:
 
     Given ``(M_1, ..., M_d)`` with ``M_k`` of size ``n_k x R``, column ``j`` of
     the result is the materialized Kronecker vector with factors
-    ``(M_1[:, j], ..., M_d[:, j])``, consistent with :func:`linear_index`.
+    ``(M_1[:, j], ..., M_d[:, j])``, linearized mode 1 fastest like every
+    index in this module.
 
     Parameters
     ----------
@@ -176,6 +150,8 @@ def khatri_rao_rows(matrices, rows) -> np.ndarray:
 
     ``rows`` are linear indices over the shape given by the matrix heights;
     row ``i`` equals the entrywise product over k of row ``i_k`` of ``M_k``.
+    This is the package's one Kronecker gather: 1-D inputs give entries of
+    the Kronecker vector, and trailing axes are carried along as batch axes.
     """
     matrices = [np.asarray(m) for m in matrices]
     shape = Shape(tuple(m.shape[0] for m in matrices))

@@ -94,16 +94,9 @@ def least_squares(a, b) -> tuple[np.ndarray, int, bool]:
     return x, int(rank), rank < ncols
 
 
-@dataclass(frozen=True)
-class SketchedSystem:
-    """Real 2m-row system: rows 1..m real parts, rows m+1..2m imaginary."""
-
-    sketched_matrix: np.ndarray
-    sketched_rhs: np.ndarray
-    operator: KfjltOperator
-
-
-def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> SketchedSystem:
+def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Real ``2m``-row system ``(matrix, rhs)``: rows 1..m hold real parts,
+    rows m+1..2m imaginary parts of the complex sketch."""
     if problem.shape != op.shape:
         raise ValueError("problem and operator shapes differ")
     ca = sketch_khatri_rao(op, problem.factor_matrices)
@@ -111,7 +104,7 @@ def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> SketchedSy
         cb = kfjlt_apply_dense(op, problem.rhs)
     else:
         cb = np.stack([kfjlt_apply_dense(op, col) for col in problem.rhs.T], axis=1)
-    return SketchedSystem(complexify(ca), complexify(cb), op)
+    return complexify(ca), complexify(cb)
 
 
 @dataclass(frozen=True)
@@ -123,15 +116,16 @@ class SketchedLsResult:
 
 
 def solve_sketched_ls(problem: KrlsProblem, op: KfjltOperator) -> SketchedLsResult:
-    """Minimize ``||complexify(Phi A) x - complexify(Phi b)||`` by SVD solve.
+    """Minimize ``||complexify(Phi A) x - complexify(Phi b)||`` with
+    :func:`least_squares`: a QR solve, or an SVD solve when the triangular
+    factor is near singular.
 
-    Rank decisions use the default cutoff ``max(2m, R) * eps * sigma_max``;
-    a rank-deficient sketch yields the minimum-norm solution with
+    A rank-deficient sketch yields the minimum-norm solution with
     ``degenerate=True``.
     """
-    system = build_sketched_system(problem, op)
-    x, rank, degenerate = least_squares(system.sketched_matrix, system.sketched_rhs)
-    resid = float(np.linalg.norm(system.sketched_matrix @ x - system.sketched_rhs))
+    matrix, rhs = build_sketched_system(problem, op)
+    x, rank, degenerate = least_squares(matrix, rhs)
+    resid = float(np.linalg.norm(matrix @ x - rhs))
     return SketchedLsResult(x, resid, rank, degenerate)
 
 

@@ -29,8 +29,8 @@ from .kron import (
     KroneckerVector,
     Shape,
     _check_cap,
+    khatri_rao_rows,
     kron_materialize,
-    multi_index_array,
 )
 
 
@@ -60,10 +60,9 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SignVector:
-    """Vector of independent uniform +-1 entries, with seed provenance."""
+    """Vector of independent uniform +-1 entries."""
 
     signs: np.ndarray
-    provenance: str | None = None
 
     def __post_init__(self):
         signs = np.asarray(self.signs, dtype=np.float64)
@@ -75,25 +74,9 @@ class SignVector:
         return self.signs.size
 
 
-def rademacher(n: int, rng: np.random.Generator, provenance: str | None = None) -> SignVector:
+def rademacher(n: int, rng: np.random.Generator) -> SignVector:
     """Draw a fresh +-1 sign vector of length n."""
-    return SignVector(rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0, provenance)
-
-
-def unitary_dft(x) -> np.ndarray:
-    """Unitary DFT: ``y[j] = n**-0.5 * sum_k x[k] exp(-2 pi i j k / n)``."""
-    x = np.asarray(x)
-    if x.shape[-1] == 0:
-        raise ValueError("empty input")
-    return np.fft.fft(x, norm="ortho")
-
-
-def unitary_idft(y) -> np.ndarray:
-    """Inverse of :func:`unitary_dft` (conjugate kernel, same scaling)."""
-    y = np.asarray(y)
-    if y.shape[-1] == 0:
-        raise ValueError("empty input")
-    return np.fft.ifft(y, norm="ortho")
+    return SignVector(rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -103,15 +86,30 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.fft.fft(np.eye(n), axis=0, norm="ortho")
 
 
+def mix_modes(t, sign_vectors) -> np.ndarray:
+    """Apply ``F_k D_k`` along axis k for the k-th sign vector: flip signs,
+    then take the unitary DFT ``y[j] = n**-0.5 * sum_l x[l] exp(-2 pi i j l / n)``.
+
+    Axes after the last sign vector are batch axes, mixed independently.
+    This is the one mixing kernel of the package; it preserves 2-norms.
+    """
+    t = np.asarray(t)
+    if len(sign_vectors) > t.ndim:
+        raise ValueError(f"{len(sign_vectors)} sign vectors for a {t.ndim}-axis array")
+    for axis, sv in enumerate(sign_vectors):
+        if t.shape[axis] != len(sv):
+            raise ValueError(
+                f"axis {axis} has length {t.shape[axis]} but its sign vector has {len(sv)}"
+            )
+        signs = sv.signs.reshape((-1,) + (1,) * (t.ndim - axis - 1))
+        t = np.fft.fft(t * signs, axis=axis, norm="ortho")
+    return t
+
+
 def mix_factor(x, sv: SignVector) -> np.ndarray:
-    """``F D_xi x``: sign-flip then unitary DFT. Norm-preserving."""
-    x = np.asarray(x)
-    if x.shape[0] != len(sv):
-        raise ValueError(f"length mismatch: vector {x.shape[0]} vs signs {len(sv)}")
-    if x.ndim == 1:
-        return unitary_dft(sv.signs * x)
-    # Column-wise mixing of a matrix (each column is one vector).
-    return np.fft.fft(sv.signs[:, None] * x, axis=0, norm="ortho")
+    """``F D_xi x``: sign-flip then unitary DFT along axis 0 (each column of
+    a matrix is one vector). Norm-preserving."""
+    return mix_modes(x, (sv,))
 
 
 def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bool) -> np.ndarray:
@@ -156,14 +154,14 @@ class FjltOperator:
     @classmethod
     def from_seed(cls, seed, n: int, m: int, replacement: bool = True) -> "FjltOperator":
         kids = seed_children(seed, 2)
-        sv = rademacher(n, _generator(kids[0]), "sub-stream 1")
+        sv = rademacher(n, _generator(kids[0]))
         rows = _sample_rows(n, m, _generator(kids[1]), replacement)
         return cls(n, sv, rows, math.sqrt(n / m))
 
     @classmethod
     def exhaustive(cls, seed, n: int) -> "FjltOperator":
         """Every row sampled exactly once (scale 1); the map is unitary."""
-        sv = rademacher(n, _generator(seed_children(seed, 2)[0]), "sub-stream 1")
+        sv = rademacher(n, _generator(seed_children(seed, 2)[0]))
         return cls(n, sv, np.arange(n), 1.0)
 
 
@@ -210,10 +208,7 @@ class KfjltOperator:
     def from_seed(cls, seed, shape: Shape, m: int, replacement: bool = True) -> "KfjltOperator":
         d = shape.ndim
         kids = seed_children(seed, d + 1)
-        svs = tuple(
-            rademacher(n, _generator(kids[k]), f"sub-stream {k + 1}")
-            for k, n in enumerate(shape.dims)
-        )
+        svs = tuple(rademacher(n, _generator(kids[k])) for k, n in enumerate(shape.dims))
         rows = _sample_rows(shape.total, m, _generator(kids[d]), replacement)
         return cls(shape, svs, rows, math.sqrt(shape.total / m))
 
@@ -222,10 +217,7 @@ class KfjltOperator:
         """All N rows once each (scale 1): full unitary mixing, no sketching."""
         d = shape.ndim
         kids = seed_children(seed, d + 1)
-        svs = tuple(
-            rademacher(n, _generator(kids[k]), f"sub-stream {k + 1}")
-            for k, n in enumerate(shape.dims)
-        )
+        svs = tuple(rademacher(n, _generator(kids[k])) for k, n in enumerate(shape.dims))
         return cls(shape, svs, np.arange(shape.total), 1.0)
 
 
@@ -239,11 +231,7 @@ def kfjlt_apply_kron(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
     if v.shape != op.shape:
         raise ValueError(f"shape mismatch: vector {v.shape.dims} vs operator {op.shape.dims}")
     mixed = [mix_factor(x, sv) for x, sv in zip(v.factors, op.sign_vectors)]
-    coords = multi_index_array(op.shape, op.rows)
-    out = mixed[0][coords[0]]
-    for y, c in zip(mixed[1:], coords[1:]):
-        out = out * y[c]
-    return op.scale * out
+    return op.scale * khatri_rao_rows(mixed, op.rows)
 
 
 def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
@@ -255,11 +243,7 @@ def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (op.shape.total,):
         raise ValueError(f"expected vector of length {op.shape.total}, got {x.shape}")
-    t = x.reshape(op.shape.dims, order="F")
-    for axis, sv in enumerate(op.sign_vectors):
-        bshape = [1] * op.degree
-        bshape[axis] = op.shape.dims[axis]
-        t = np.fft.fft(t * sv.signs.reshape(bshape), axis=axis, norm="ortho")
+    t = mix_modes(x.reshape(op.shape.dims, order="F"), op.sign_vectors)
     return op.scale * t.reshape(-1, order="F")[op.rows]
 
 
@@ -291,7 +275,7 @@ class FactoredKfjltOperator:
         row_kids = seed_children(kids[d], d)
         ops = []
         for k, (n, mk) in enumerate(zip(shape.dims, ms)):
-            sv = rademacher(n, _generator(kids[k]), f"sub-stream {k + 1}")
+            sv = rademacher(n, _generator(kids[k]))
             rows = _sample_rows(n, mk, _generator(row_kids[k]), replacement)
             ops.append(FjltOperator(n, sv, rows, math.sqrt(n / mk)))
         return cls(tuple(ops))

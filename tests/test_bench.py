@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from kfjlt.bench import (
     factored_row_counts,
     group_dims,
     group_factors,
-    read_csv,
     run_concentration,
     run_cprand,
     run_distortion,
@@ -57,6 +58,12 @@ def test_config_validation():
         ExperimentConfig(
             kind="distortion", shape=(4, 4), m_grid=(4,), structure="generic", sampling="before"
         )
+    with pytest.raises(ValueError, match="m=0"):
+        ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(8, 0))
+    with pytest.raises(ValueError, match="rank must be >= 1, got 0"):
+        ExperimentConfig(kind="ls", shape=(4, 4), m_grid=(8,), rank=0)
+    with pytest.raises(ValueError, match="max_sweeps must be >= 1, got 0"):
+        ExperimentConfig(kind="cprand", shape=(4, 4), m_grid=(8,), max_sweeps=0)
 
 
 def _distortion_config(**kw):
@@ -180,10 +187,10 @@ def test_emit_csv_round_trip(tmp_path):
     # deterministic order: by (method, m, trial)
     assert lines[1].startswith("exp,a-method,2,0")
     assert lines[2].startswith("exp,a-method,4,0")
-    back = read_csv(path)
-    assert sorted((r.method, r.m, r.trial, r.seed, r.value) for r in back) == sorted(
-        (r.method, r.m, r.trial, r.seed, r.value) for r in records
-    )
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = [(r["method"], int(r["m"]), int(r["trial"]), int(r["seed"]), float(r["value"]))
+                for r in csv.DictReader(fh)]
+    assert sorted(back) == sorted((r.method, r.m, r.trial, r.seed, r.value) for r in records)
     summary_lines = summary.read_text().splitlines()
     assert summary_lines[0] == "method,m,mean,std,count"
     assert len(summary_lines) == 4  # one row per (method, m) group
@@ -232,7 +239,7 @@ def test_cli_end_to_end(tmp_path, capsys):
     )
     assert rc == 0
     assert out.exists() and out.with_suffix(".summary.csv").exists()
-    assert len(read_csv(out)) == 2 * 2 * 3
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
 
 
 def test_cli_config_file_and_override(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,10 @@ from kfjlt.cprand import (
     reconstruct,
     save_tensor,
     unfold,
-    unmix_factor,
 )
 from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
 from kfjlt.sketch_ls import KrlsProblem, solve_sketched_ls
-from kfjlt.transforms import KfjltOperator, materialize_operator, mix_factor, rademacher, seed_children
+from kfjlt.transforms import KfjltOperator, materialize_operator, rademacher
 
 
 def tensor_from_range(dims):
@@ -85,6 +86,20 @@ def test_unfolded_model_identity():
         rhs = model.factors[mode - 1] @ khatri_rao_all_but(model, mode).T
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
         assert np.array_equal(fold(rhs, mode, t.shape).data.round(12), t.data.round(12))
+
+
+def test_reconstruct_peak_memory_independent_of_rank():
+    # the working set stays a few length-N arrays however large the rank
+    rng = np.random.default_rng(22)
+    shape = Shape((40, 40, 40))
+    model = random_model(shape, 8, rng)
+    tracemalloc.start()
+    try:
+        reconstruct(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * shape.total
 
 
 def test_reconstruct_rank_one_basis():
@@ -181,15 +196,6 @@ def test_mixed_unfolding_unmixes_to_sketched_rhs():
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(lhs)
 
 
-def test_unmix_factor_round_trip():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((8, 3))
-    sv = rademacher(8, rng)
-    assert np.allclose(unmix_factor(mix_factor(a, sv), sv), a, atol=1e-12)
-    with pytest.raises(ValueError):
-        unmix_factor(mix_factor(a, sv) + 1j, sv)
-
-
 def test_exhaustive_sweep_matches_exact_als():
     rng = np.random.default_rng(9)
     shape = Shape((4, 5, 3))
@@ -256,7 +262,8 @@ def test_cprand_exhaustive_matches_als_trajectory():
     t = reconstruct(random_model(shape, 2, rng))
     init = random_model(shape, 2, rng)
     als = cp_als(t, 2, init=init, max_sweeps=8, fit_tol=0.0)
-    sketched = cprand_mix(t, 2, m=1, seed=3, init=init, max_sweeps=8, fit_tol=0.0, exhaustive=True)
+    # m at least the largest per-mode height (20) samples every row once
+    sketched = cprand_mix(t, 2, m=20, seed=3, init=init, max_sweeps=8, fit_tol=0.0)
     assert np.allclose(als.fits, sketched.fits, atol=1e-6)
 
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,6 @@ from kfjlt.kron import (
     khatri_rao_rows,
     kron_materialize,
     kron_norm_sq,
-    linear_index,
-    multi_index,
     multi_index_array,
 )
 
@@ -29,49 +25,41 @@ def test_shape_validation():
         Shape((2**40, 2**40))  # product exceeds the addressable range
 
 
-def test_linear_index_examples():
-    assert linear_index(Shape((7,)), (5,)) == 5
-    assert linear_index(Shape((3, 4)), (1, 2)) == 1 + 2 * 3
-    # the (125, 125) corner: last multi-index maps to N - 1
-    assert linear_index(Shape((125, 125)), (124, 124)) == 15624
-    with pytest.raises(ValueError):
-        linear_index(Shape((3, 4)), (3, 0))
-    with pytest.raises(ValueError):
-        linear_index(Shape((3, 4)), (0,))
-
-
 def test_multi_index_examples():
-    assert multi_index(Shape((7,)), 5) == (5,)
-    assert multi_index(Shape((3, 4)), 7) == (1, 2)
-    # brute-force enumeration of all 8 indices of a 2x2x2 shape
+    assert multi_index_array(Shape((7,)), 5) == (5,)
+    assert multi_index_array(Shape((3, 4)), 1 + 2 * 3) == (1, 2)
+    # the (125, 125) corner: N - 1 maps to the last multi-index
+    assert multi_index_array(Shape((125, 125)), 15624) == (124, 124)
     shape = Shape((2, 2, 2))
-    enumerated = {}
-    for coords in itertools.product(range(2), repeat=3):
-        enumerated[linear_index(shape, coords)] = coords
-    assert len(enumerated) == 8
-    assert enumerated[6] == multi_index(shape, 6) == (0, 1, 1)
+    assert multi_index_array(shape, 6) == (0, 1, 1)
+    coords = multi_index_array(shape, [0, 7, 3])
+    assert [c.tolist() for c in coords] == [[0, 1, 1], [0, 1, 1], [0, 1, 0]]
     with pytest.raises(ValueError):
-        multi_index(shape, 8)
+        multi_index_array(shape, 8)
+    with pytest.raises(ValueError):
+        multi_index_array(shape, [0, -1])
 
 
 @pytest.mark.parametrize("dims", [(7,), (3, 4), (2, 3, 4), (10, 10, 10, 10), (97,)])
 def test_index_bijection_exhaustive(dims):
     shape = Shape(dims)
     assert shape.total <= 10_000
-    for i in range(shape.total):
-        assert linear_index(shape, multi_index(shape, i)) == i
-    coords = multi_index_array(shape, np.arange(shape.total))
+    idx = np.arange(shape.total)
+    coords = multi_index_array(shape, idx)
+    # mode-1-fastest linearization: i = sum_k i_k * stride_k
+    assert np.array_equal(sum(c * s for c, s in zip(coords, shape.strides())), idx)
+    for c, n in zip(coords, dims):
+        assert c.min() == 0 and c.max() == n - 1
     back = np.ravel_multi_index(coords, dims, order="F")
-    assert np.array_equal(back, np.arange(shape.total))
+    assert np.array_equal(back, idx)
 
 
 def test_mode_1_fastest():
     shape = Shape((5, 4, 3))
-    for i2 in range(4):
-        for i3 in range(3):
-            base = linear_index(shape, (0, i2, i3))
-            for i1 in range(1, 5):
-                assert linear_index(shape, (i1, i2, i3)) == base + i1
+    i1, i2, i3 = multi_index_array(shape, np.arange(shape.total))
+    assert np.array_equal(i1, np.tile(np.arange(5), 12))
+    assert np.array_equal(i2, np.tile(np.repeat(np.arange(4), 5), 3))
+    assert np.array_equal(i3, np.repeat(np.arange(3), 20))
 
 
 def test_kron_materialize_examples():
@@ -86,9 +74,9 @@ def test_kron_materialize_entry_formula():
     rng = np.random.default_rng(0)
     v = KroneckerVector(tuple(rng.standard_normal(n) for n in (3, 4, 2)))
     x = kron_materialize(v)
+    coords = multi_index_array(v.shape, np.arange(v.shape.total))
     for i in range(v.shape.total):
-        coords = multi_index(v.shape, i)
-        expected = np.prod([f[c] for f, c in zip(v.factors, coords)])
+        expected = np.prod([f[c[i]] for f, c in zip(v.factors, coords)])
         assert x[i] == pytest.approx(expected, rel=1e-14)
 
 
@@ -151,3 +139,8 @@ def test_khatri_rao_rows_matches_dense():
     full = khatri_rao(mats)
     rows = rng.integers(0, full.shape[0], size=10)
     assert np.allclose(khatri_rao_rows(mats, rows), full[rows], rtol=1e-13)
+    # 1-D factors gather entries of the Kronecker vector
+    vecs = [m[:, 0] for m in mats]
+    dense = kron_materialize(KroneckerVector(tuple(vecs)))
+    assert np.array_equal(khatri_rao_rows(vecs, rows), khatri_rao_rows(mats, rows)[:, 0])
+    assert np.allclose(khatri_rao_rows(vecs, rows), dense[rows], rtol=1e-13)

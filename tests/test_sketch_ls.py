@@ -16,6 +16,7 @@ from kfjlt.transforms import (
     FjltOperator,
     KfjltOperator,
     fjlt_apply,
+    kfjlt_apply_dense,
     kfjlt_apply_kron,
     materialize_operator,
 )
@@ -102,11 +103,12 @@ def test_sketched_system_structure():
     factors = tuple(rng.standard_normal((n, 2)) for n in shape.dims)
     problem = KrlsProblem(factors, rng.standard_normal(16))
     op = KfjltOperator.from_seed(10, shape, m=5)
-    system = build_sketched_system(problem, op)
+    matrix, rhs = build_sketched_system(problem, op)
     complex_sketch = sketch_khatri_rao(op, factors)
-    assert np.array_equal(system.sketched_matrix[:5], complex_sketch.real)
-    assert np.array_equal(system.sketched_matrix[5:], complex_sketch.imag)
-    assert system.sketched_matrix.shape == (10, 2)
+    assert np.array_equal(matrix[:5], complex_sketch.real)
+    assert np.array_equal(matrix[5:], complex_sketch.imag)
+    assert matrix.shape == (10, 2)
+    assert np.array_equal(rhs, complexify(kfjlt_apply_dense(op, problem.rhs)))
 
 
 def test_residual_ratio_examples():

@@ -18,7 +18,7 @@ from kfjlt.testkit import (
     rip_constant,
     verify_suite,
 )
-from kfjlt.transforms import FjltOperator, materialize_operator, rademacher, unitary_dft
+from kfjlt.transforms import FjltOperator, materialize_operator, rademacher
 
 
 def test_dense_oracle_apply():

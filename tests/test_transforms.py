@@ -17,10 +17,9 @@ from kfjlt.transforms import (
     kfjlt_apply_kron,
     materialize_operator,
     mix_factor,
+    mix_modes,
     rademacher,
     seed_children,
-    unitary_dft,
-    unitary_idft,
 )
 
 
@@ -32,18 +31,40 @@ def dft_direct(x):
 
 
 def test_unitary_dft_examples():
-    assert np.allclose(unitary_dft([5.0]), [5.0])
-    assert np.allclose(unitary_dft([1.0, 0.0]), [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    # all-ones signs: mix_factor is the bare unitary DFT
+    def ones(n):
+        return SignVector(np.ones(n))
+
+    assert np.allclose(mix_factor(np.array([5.0]), ones(1)), [5.0])
+    assert np.allclose(mix_factor(np.array([1.0, 0.0]), ones(2)), [1 / np.sqrt(2), 1 / np.sqrt(2)])
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.standard_normal(8)
-        assert np.allclose(unitary_dft(x), dft_direct(x), rtol=1e-12, atol=1e-12)
-        assert np.linalg.norm(unitary_dft(x)) == pytest.approx(
-            np.linalg.norm(x), rel=1e-12
-        )
-        assert np.allclose(unitary_idft(unitary_dft(x)), x, atol=1e-12)
+        y = mix_factor(x, ones(8))
+        assert np.allclose(y, dft_direct(x), rtol=1e-12, atol=1e-12)
+        assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        # the CP sweep's un-mix (inverse DFT, same scaling) inverts it
+        assert np.allclose(np.fft.ifft(y, norm="ortho"), x, atol=1e-12)
     with pytest.raises(ValueError):
-        unitary_dft(np.zeros(0))
+        mix_factor(np.zeros(0), ones(0))
+
+
+def test_mix_modes_batch_axes_and_errors():
+    rng = np.random.default_rng(18)
+    svs = (rademacher(3, rng), rademacher(4, rng))
+    t = rng.standard_normal((3, 4, 5))
+    mixed = mix_modes(t, svs)
+    assert mixed.shape == (3, 4, 5)
+    for j in range(5):
+        assert np.array_equal(mixed[..., j], mix_modes(t[..., j], svs))
+    # matches the dense Kronecker mixing F_2 D_2 (x) F_1 D_1
+    u = np.kron(dft_direct(np.eye(4)) * svs[1].signs, dft_direct(np.eye(3)) * svs[0].signs)
+    flat = t[..., 0].reshape(-1, order="F")
+    assert np.allclose(mixed[..., 0].reshape(-1, order="F"), u @ flat, atol=1e-12)
+    with pytest.raises(ValueError, match="axis 1"):
+        mix_modes(t, (svs[0], rademacher(5, rng)))
+    with pytest.raises(ValueError):
+        mix_modes(np.ones(3), (svs[0], svs[1]))
 
 
 def test_sign_vector_validation():
@@ -57,7 +78,7 @@ def test_mix_factor_examples():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(16)
     ones = SignVector(np.ones(16))
-    assert np.array_equal(mix_factor(x, ones), unitary_dft(x))
+    assert np.array_equal(mix_factor(x, ones), np.fft.fft(x, norm="ortho"))
     sv = rademacher(16, rng)
     assert np.allclose(mix_factor(x, sv), mix_factor(sv.signs * x, ones))
     for _ in range(100):
