@@ -28,11 +28,9 @@ from .sketch_ls import KrlsProblem, residual_ratio, solve_sketched_ls
 from .testkit import hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
     FactoredKfjltOperator,
-    FjltOperator,
     KfjltOperator,
     distortion_ratio,
     factored_apply,
-    fjlt_apply,
     kfjlt_apply_dense,
     kfjlt_apply_kron,
     mix_factor,
@@ -218,9 +216,6 @@ def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
                     orig = float(x @ x)
                     if base == "gaussian":
                         y = gaussian_jlt_apply(op_ss, m, big_n, x)
-                    elif degree == 1:
-                        fop = FjltOperator.from_seed(op_ss, big_n, m, replacement)
-                        y = fjlt_apply(fop, x)
                     else:
                         gshape = Shape(group_dims(config.shape, degree))
                         op = KfjltOperator.from_seed(op_ss, gshape, m, replacement)
@@ -331,9 +326,9 @@ def run_ls(config: ExperimentConfig) -> list[TrialRecord]:
     records = []
     replacement = config.replacement == "with"
     shape = Shape(config.shape)
-    for m in config.m_grid:
-        for trial in range(config.trials):
-            problem = make_ls_problem(config, trial)
+    for trial in range(config.trials):
+        problem = make_ls_problem(config, trial)
+        for m in config.m_grid:
             ss = trial_seed_sequence(config.seed, config.kind, "kfjlt", m, trial)
             op = KfjltOperator.from_seed(seed_children(ss, 1)[0], shape, m, replacement)
             result = solve_sketched_ls(problem, op)

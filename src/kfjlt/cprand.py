@@ -177,6 +177,15 @@ def fit(t: DenseTensor, model: CpModel) -> float:
     return 1.0 - float(np.linalg.norm(t.data - reconstruct(model).data)) / scale
 
 
+def _check_rank_and_init(t: DenseTensor, rank: int, init: CpModel | None):
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+    if init is not None and init.rank != rank:
+        raise ValueError(f"init has rank {init.rank}, but rank={rank}")
+    if init is not None and init.shape != t.shape:
+        raise ValueError(f"init has shape {init.shape.dims}, but the tensor has shape {t.shape.dims}")
+
+
 def cp_als_update_mode(t: DenseTensor, model: CpModel, mode: int) -> tuple[CpModel, bool]:
     """Exact least-squares update of one factor: ``min ||Z_k A_k^T - X_(k)^T||``.
 
@@ -216,6 +225,7 @@ def cp_als(
     fit_tol: float = 1e-6,
 ) -> CpAlsResult:
     """Exact CP-ALS with a fit-improvement stopping rule."""
+    _check_rank_and_init(t, rank, init)
     if init is None:
         rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
         init = random_model(t.shape, rank, rng)
@@ -319,6 +329,9 @@ def cprand_mix(
     with replacement, except that a mode whose full system has at most m rows
     is solved exactly (sampling every row once).
     """
+    _check_rank_and_init(t, rank, init)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     ss = as_seed_sequence(seed)
     sign_kid, init_kid, rows_kid = seed_children(ss, 3)
     sign_vectors = tuple(

@@ -132,9 +132,12 @@ def solve_sketched_ls(problem: KrlsProblem, op: KfjltOperator) -> SketchedLsResu
 def exact_ls_solution(problem: KrlsProblem, cap: int | None = None):
     """Dense oracle: materialize A and solve exactly. Returns (x*, residual)."""
     _check_cap(problem.shape.total * problem.ncols, cap, "materialized Khatri-Rao product")
-    a = khatri_rao(problem.factor_matrices)
-    x, _, _, _ = np.linalg.lstsq(a, problem.rhs, rcond=None)
-    return x, float(np.linalg.norm(a @ x - problem.rhs))
+    return _dense_ls(khatri_rao(problem.factor_matrices), problem.rhs)
+
+
+def _dense_ls(a, b):
+    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+    return x, float(np.linalg.norm(a @ x - b))
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def residual_ratio(problem: KrlsProblem, x_hat, cap: int | None = None) -> Resid
     _check_cap(problem.shape.total * problem.ncols, cap, "materialized Khatri-Rao product")
     a = khatri_rao(problem.factor_matrices)
     achieved = float(np.linalg.norm(a @ np.asarray(x_hat) - problem.rhs))
-    _, exact = exact_ls_solution(problem, cap=cap)
+    _, exact = _dense_ls(a, problem.rhs)
     rhs_scale = max(1.0, float(np.linalg.norm(problem.rhs)))
     if exact <= 1e-12 * rhs_scale:
         return ResidualReport(achieved, achieved, exact, True)

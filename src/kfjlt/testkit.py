@@ -318,8 +318,8 @@ class CheckResult:
 def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     """Self-contained verification battery used by the ``verify`` subcommand.
 
-    Covers fast-path/oracle equivalence, mixing unitarity, the degree-1
-    collapse, operator flatness, the distortion quadratic form, both
+    Covers fast-path/oracle equivalence, mixing unitarity, the FJLT against
+    the dense DFT matrix, operator flatness, the distortion quadratic form, both
     concentration tails under exact enumeration, restricted isometry hand
     cases and consequences, and the sorted-block norm bounds.
     """
@@ -367,15 +367,12 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
         worst = max(worst, abs(float(np.vdot(out, out).real) - kron_norm_sq(v)) / kron_norm_sq(v))
     record("mixing-unitarity", worst <= 1e-12, f"max rel err {worst:.2e}")
 
-    # Degree-1 operator collapses to the flat transform bit for bit.
-    kid = ss.spawn(1)[0]
-    kop = transforms.KfjltOperator.from_seed(kid, Shape((16,)), m=5)
-    fop = transforms.FjltOperator.from_seed(kid, 16, 5)
+    # The FJLT (degree-1 operator) against the dense DFT matrix.
+    op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((16,)), m=5)
     xv = gen.standard_normal(16)
-    same = np.array_equal(
-        transforms.kfjlt_apply_kron(kop, KroneckerVector((xv,))), transforms.fjlt_apply(fop, xv)
-    )
-    record("degree-1-collapse", same, "bit-identical outputs")
+    ref = op.scale * (transforms.dft_matrix(16) @ (op.sign_vectors[0].signs * xv))[op.rows]
+    err = float(np.linalg.norm(transforms.fjlt_apply(op, xv) - ref) / np.linalg.norm(ref))
+    record("fjlt-dft-oracle", err <= 1e-12, f"rel err {err:.2e}")
 
     # Every materialized entry has magnitude 1/sqrt(m).
     op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((4, 4)), m=7)
@@ -420,8 +417,8 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
 
     # Subset norm and disjoint inner-product consequences with measured delta.
     nsub, msub, svec = 12, 10, 2
-    fop = transforms.FjltOperator.from_seed(ss.spawn(1)[0], nsub, msub)
-    psi = complexify(transforms.materialize_operator(fop))
+    op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((nsub,)), msub)
+    psi = complexify(transforms.materialize_operator(op))
     delta = rip_constant(psi, 2 * svec).delta
     ok = True
     xq = gen.standard_normal(nsub)
@@ -440,8 +437,8 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
 
     # Sorted-block norm bounds on a small split matrix.
     nblk, sblk = 12, 3
-    fop = transforms.FjltOperator.from_seed(ss.spawn(1)[0], 2 * nblk, 2 * nblk - 4)
-    stacked = complexify(transforms.materialize_operator(fop))
+    op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((2 * nblk,)), 2 * nblk - 4)
+    stacked = complexify(transforms.materialize_operator(op))
     delta = rip_constant(stacked, 2 * sblk).delta
     ok = True
     for _ in range(20):

@@ -1,21 +1,21 @@
 """Random sketching operators built from subsampled, sign-flipped DFTs.
 
-Three constructions share the mixing stage ``F D_xi`` (unitary DFT after a
+Two constructions share the mixing stage ``F D_xi`` (unitary DFT after a
 random sign flip):
 
-* ``FjltOperator``    -- ``sqrt(n/m) S F D_xi`` on a flat space of size n.
 * ``KfjltOperator``   -- ``sqrt(N/m) S (F_d D_d (x) ... (x) F_1 D_1)`` on a
   product space; rows are sampled from the full Kronecker mixing, and the
   fast path on Kronecker vectors mixes each factor once and traces sampled
-  linear indices back to per-factor indices.
+  linear indices back to per-factor indices. Its degree-1 case is the FJLT
+  ``sqrt(n/m) S F D_xi``; ``FjltOperator`` and ``fjlt_apply`` build and
+  apply it from a flat length n.
 * ``FactoredKfjltOperator`` -- the sample-before-Kronecker alternative
-  ``(x)_k sqrt(n_k/m_k) S_k F_k D_k``; its output is the Kronecker product of
-  the per-factor sketches.
+  ``(x)_k sqrt(n_k/m_k) S_k F_k D_k``, held as d degree-1 operators; its
+  output is the Kronecker product of the per-factor sketches.
 
 Randomness: an operator built via ``from_seed`` expands one seed into d+1
 deterministic sub-streams (factor k's signs use sub-stream k, the row sample
-uses sub-stream d+1), so a degree-1 KFJLT and an FJLT built from the same
-seed share signs and rows exactly.
+uses sub-stream d+1).
 """
 
 from __future__ import annotations
@@ -128,51 +128,6 @@ def _check_scale(scale: float, m: int, n_total: int):
 
 
 @dataclass(frozen=True)
-class FjltOperator:
-    """``sqrt(n/m) S F D_xi`` acting on vectors of length n."""
-
-    n: int
-    sign_vector: SignVector
-    rows: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.intp)
-        object.__setattr__(self, "rows", rows)
-        if len(self.sign_vector) != self.n:
-            raise ValueError("sign vector length must equal n")
-        if rows.ndim != 1 or rows.size < 1:
-            raise ValueError("need at least one sampled row")
-        if rows.min() < 0 or rows.max() >= self.n:
-            raise ValueError("row indices out of range")
-        _check_scale(self.scale, rows.size, self.n)
-
-    @property
-    def m(self) -> int:
-        return self.rows.size
-
-    @classmethod
-    def from_seed(cls, seed, n: int, m: int, replacement: bool = True) -> "FjltOperator":
-        kids = seed_children(seed, 2)
-        sv = rademacher(n, _generator(kids[0]))
-        rows = _sample_rows(n, m, _generator(kids[1]), replacement)
-        return cls(n, sv, rows, math.sqrt(n / m))
-
-    @classmethod
-    def exhaustive(cls, seed, n: int) -> "FjltOperator":
-        """Every row sampled exactly once (scale 1); the map is unitary."""
-        sv = rademacher(n, _generator(seed_children(seed, 2)[0]))
-        return cls(n, sv, np.arange(n), 1.0)
-
-
-def fjlt_apply(op: FjltOperator, x) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (op.n,):
-        raise ValueError(f"expected vector of length {op.n}, got {x.shape}")
-    return op.scale * mix_factor(x, op.sign_vector)[op.rows]
-
-
-@dataclass(frozen=True)
 class KfjltOperator:
     """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space."""
 
@@ -221,6 +176,20 @@ class KfjltOperator:
         return cls(shape, svs, np.arange(shape.total), 1.0)
 
 
+class FjltOperator:
+    """Constructors of the FJLT ``sqrt(n/m) S F D_xi`` on vectors of length n:
+    the degree-1 ``KfjltOperator``."""
+
+    @classmethod
+    def from_seed(cls, seed, n: int, m: int, replacement: bool = True) -> KfjltOperator:
+        return KfjltOperator.from_seed(seed, Shape((n,)), m, replacement)
+
+    @classmethod
+    def exhaustive(cls, seed, n: int) -> KfjltOperator:
+        """Every row sampled exactly once (scale 1); the map is unitary."""
+        return KfjltOperator.exhaustive(seed, Shape((n,)))
+
+
 def kfjlt_apply_kron(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
     """Fast path on Kronecker vectors.
 
@@ -247,19 +216,28 @@ def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
     return op.scale * t.reshape(-1, order="F")[op.rows]
 
 
+def fjlt_apply(op: KfjltOperator, x) -> np.ndarray:
+    """Apply a degree-1 operator to a vector of length n."""
+    return kfjlt_apply_dense(op, x)
+
+
 @dataclass(frozen=True)
 class FactoredKfjltOperator:
-    """Sample-before-Kronecker variant: per-factor FJLTs, output Kronecker'd."""
+    """Sample-before-Kronecker variant: one degree-1 ``KfjltOperator`` (an
+    FJLT) per factor, outputs Kronecker'd."""
 
-    operators: tuple[FjltOperator, ...]
+    operators: tuple[KfjltOperator, ...]
     shape: Shape = field(init=False)
 
     def __post_init__(self):
         ops = tuple(self.operators)
         if not ops:
             raise ValueError("need at least one factor operator")
+        for k, op in enumerate(ops):
+            if op.degree != 1:
+                raise ValueError(f"factor operator {k} has degree {op.degree}, expected 1")
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "shape", Shape(tuple(op.n for op in ops)))
+        object.__setattr__(self, "shape", Shape(tuple(op.shape.total for op in ops)))
 
     @property
     def m(self) -> int:
@@ -277,17 +255,18 @@ class FactoredKfjltOperator:
         for k, (n, mk) in enumerate(zip(shape.dims, ms)):
             sv = rademacher(n, _generator(kids[k]))
             rows = _sample_rows(n, mk, _generator(row_kids[k]), replacement)
-            ops.append(FjltOperator(n, sv, rows, math.sqrt(n / mk)))
+            ops.append(KfjltOperator(Shape((n,)), (sv,), rows, math.sqrt(n / mk)))
         return cls(tuple(ops))
 
 
 def factored_apply(op: FactoredKfjltOperator, v: KroneckerVector) -> np.ndarray:
-    """Kronecker product of the per-factor FJLT outputs (length prod m_k)."""
+    """Kronecker product of the per-factor sketches ``kfjlt_apply_dense(op_k,
+    x_k)`` (length prod m_k)."""
     if v.shape != op.shape:
         raise ValueError(f"shape mismatch: vector {v.shape.dims} vs operator {op.shape.dims}")
-    out = fjlt_apply(op.operators[0], v.factors[0])
+    out = kfjlt_apply_dense(op.operators[0], v.factors[0])
     for fop, x in zip(op.operators[1:], v.factors[1:]):
-        out = np.kron(fjlt_apply(fop, x), out)
+        out = np.kron(kfjlt_apply_dense(fop, x), out)
     return out
 
 
@@ -298,15 +277,8 @@ def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
     return abs(embedded_norm_sq - original_norm_sq) / original_norm_sq
 
 
-def _materialize_fjlt(op: FjltOperator) -> np.ndarray:
-    return op.scale * dft_matrix(op.n)[op.rows] * op.sign_vector.signs[None, :]
-
-
 def materialize_operator(op, cap: int | None = None) -> np.ndarray:
     """Dense ``m x N`` matrix of a sketching operator (oracle-only path)."""
-    if isinstance(op, FjltOperator):
-        _check_cap(op.n * op.m, cap, "materialized operator")
-        return _materialize_fjlt(op)
     if isinstance(op, KfjltOperator):
         _check_cap(op.shape.total * op.m, cap, "materialized operator")
         u = dft_matrix(op.shape.dims[0])
@@ -318,8 +290,8 @@ def materialize_operator(op, cap: int | None = None) -> np.ndarray:
         return op.scale * u[op.rows] * zeta[None, :]
     if isinstance(op, FactoredKfjltOperator):
         _check_cap(op.shape.total * op.m, cap, "materialized operator")
-        full = _materialize_fjlt(op.operators[0])
+        full = materialize_operator(op.operators[0], cap)
         for fop in op.operators[1:]:
-            full = np.kron(_materialize_fjlt(fop), full)
+            full = np.kron(materialize_operator(fop, cap), full)
         return full
     raise TypeError(f"cannot materialize {type(op).__name__}")

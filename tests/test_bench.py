@@ -140,6 +140,22 @@ def test_ls_runner():
     assert by_m[32] <= by_m[8] + 1e-9
 
 
+def test_ls_runner_builds_each_problem_once(monkeypatch):
+    import kfjlt.bench as bench
+    import kfjlt.sketch_ls as sketch_ls
+
+    built, kr_calls = [], []
+    make, khatri_rao = bench.make_ls_problem, sketch_ls.khatri_rao
+    monkeypatch.setattr(bench, "make_ls_problem", lambda cfg, trial: built.append(trial) or make(cfg, trial))
+    cfg = ExperimentConfig(kind="ls", shape=(4, 4, 4), m_grid=(8, 32), trials=2, seed=7, rank=2)
+    run_ls(cfg)
+    assert built == [0, 1]
+    # the residual ratio materializes the Khatri-Rao product once
+    monkeypatch.setattr(sketch_ls, "khatri_rao", lambda mats: kr_calls.append(1) or khatri_rao(mats))
+    sketch_ls.residual_ratio(make(cfg, 0), np.zeros(2))
+    assert len(kr_calls) == 1
+
+
 def test_cprand_runner():
     cfg = ExperimentConfig(
         kind="cprand", shape=(5, 5, 5), m_grid=(25,), trials=2, seed=3, rank=2,

@@ -296,3 +296,29 @@ def test_dense_tensor_validation():
     t = DenseTensor.from_array(arr)
     assert np.array_equal(t.as_array(), arr)
     assert np.array_equal(t.data, [0, 3, 1, 4, 2, 5])
+
+
+def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
+    rng = np.random.default_rng(14)
+    shape = Shape((4, 4, 4))
+    t = reconstruct(random_model(shape, 2, rng))
+    rank_two = random_model(shape, 2, rng)
+    wrong_shape = random_model(Shape((4, 4, 5)), 3, rng)
+
+    def no_work(*args):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr("kfjlt.cprand.mix_tensor", no_work)
+    monkeypatch.setattr("kfjlt.cprand.cp_als_sweep", no_work)
+    cases = [
+        (lambda: cprand_mix(t, 3, 10, init=rank_two), "rank 2, but rank=3"),
+        (lambda: cp_als(t, 3, init=rank_two), "rank 2, but rank=3"),
+        (lambda: cprand_mix(t, 3, 10, init=wrong_shape), r"\(4, 4, 5\).*\(4, 4, 4\)"),
+        (lambda: cp_als(t, 3, init=wrong_shape), r"\(4, 4, 5\).*\(4, 4, 4\)"),
+        (lambda: cprand_mix(t, 3, 0), "m must be >= 1, got 0"),
+        (lambda: cprand_mix(t, 0, 10), "rank must be >= 1, got 0"),
+        (lambda: cp_als(t, 0), "rank must be >= 1, got 0"),
+    ]
+    for call, match in cases:
+        with pytest.raises(ValueError, match=match):
+            call()

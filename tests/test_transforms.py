@@ -113,9 +113,9 @@ def test_fjlt_exhaustive_is_isometric():
 def test_operator_validation():
     sv = SignVector(np.ones(4))
     with pytest.raises(ValueError):
-        FjltOperator(4, sv, np.array([0, 4]), math.sqrt(2))  # row out of range
+        KfjltOperator(Shape((4,)), (sv,), np.array([0, 4]), math.sqrt(2))  # row out of range
     with pytest.raises(ValueError):
-        FjltOperator(4, sv, np.array([0, 1]), 1.0)  # scale^2 * m != n
+        KfjltOperator(Shape((4,)), (sv,), np.array([0, 1]), 1.0)  # scale^2 * m != n
     with pytest.raises(ValueError):
         KfjltOperator(Shape((4, 4)), (sv,), np.array([0]), 4.0)  # missing signs
 
@@ -149,14 +149,12 @@ def test_kron_and_dense_paths_agree():
 
 
 def test_degree_one_collapse_bit_identical():
-    seed = np.random.SeedSequence(77)
-    kop = KfjltOperator.from_seed(seed, Shape((16,)), m=5)
-    fop = FjltOperator.from_seed(seed, 16, 5)
-    assert np.array_equal(kop.sign_vectors[0].signs, fop.sign_vector.signs)
-    assert np.array_equal(kop.rows, fop.rows)
+    # the FJLT is the degree-1 KFJLT: same type, and both apply paths agree bit for bit
+    op = FjltOperator.from_seed(np.random.SeedSequence(77), 16, 5)
+    assert isinstance(op, KfjltOperator)
+    assert op.degree == 1 and op.shape == Shape((16,)) and op.m == 5
     x = np.random.default_rng(8).standard_normal(16)
-    assert np.array_equal(kfjlt_apply_kron(kop, KroneckerVector((x,))), fjlt_apply(fop, x))
-    assert np.array_equal(kfjlt_apply_dense(kop, x), fjlt_apply(fop, x))
+    assert np.array_equal(fjlt_apply(op, x), kfjlt_apply_kron(op, KroneckerVector((x,))))
 
 
 def test_kfjlt_exhaustive_preserves_norm():
@@ -186,7 +184,7 @@ def test_factored_degree_one_equals_fjlt():
     fop = FjltOperator.from_seed(seed, 16, 5)
     x = np.random.default_rng(11).standard_normal(16)
     # same signs; the row stream is split once more, so compare via matrices
-    assert np.array_equal(fac.operators[0].sign_vector.signs, fop.sign_vector.signs)
+    assert np.array_equal(fac.operators[0].sign_vectors[0].signs, fop.sign_vectors[0].signs)
     v = KroneckerVector((x,))
     assert np.allclose(
         factored_apply(fac, v), fjlt_apply(fac.operators[0], x), rtol=1e-12
@@ -203,6 +201,9 @@ def test_factored_identity_sampling_preserves_norm():
     v = KroneckerVector(tuple(np.random.default_rng(12).standard_normal(n) for n in shape.dims))
     out = factored_apply(fac, v)
     assert float(np.vdot(out, out).real) == pytest.approx(kron_norm_sq(v), rel=1e-10)
+    # every factor must be a degree-1 operator
+    with pytest.raises(ValueError, match="degree 2"):
+        FactoredKfjltOperator((ops[0], KfjltOperator.exhaustive(seed, shape)))
 
 
 def test_distortion_ratio():
@@ -220,7 +221,7 @@ def test_distortion_ratio():
 
 def test_materialized_operator_small_cases():
     # degree 1, n=2, identity sampling, +1 signs: the 2-point unitary DFT
-    op = FjltOperator(2, SignVector(np.ones(2)), np.array([0, 1]), 1.0)
+    op = KfjltOperator(Shape((2,)), (SignVector(np.ones(2)),), np.array([0, 1]), 1.0)
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     assert np.allclose(materialize_operator(op), expected, atol=1e-14)
 
