@@ -24,7 +24,7 @@ import numpy as np
 
 from . import cprand as cp
 from .kron import KroneckerVector, Shape, khatri_rao_rows, kron_materialize, kron_norm_sq
-from .sketch_ls import KrlsProblem, residual_ratio, solve_sketched_ls
+from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, solve_sketched_ls
 from .testkit import hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
     FactoredKfjltOperator,
@@ -328,11 +328,12 @@ def run_ls(config: ExperimentConfig) -> list[TrialRecord]:
     shape = Shape(config.shape)
     for trial in range(config.trials):
         problem = make_ls_problem(config, trial)
+        a, exact = _exact_residual(problem)
         for m in config.m_grid:
             ss = trial_seed_sequence(config.seed, config.kind, "kfjlt", m, trial)
             op = KfjltOperator.from_seed(seed_children(ss, 1)[0], shape, m, replacement)
             result = solve_sketched_ls(problem, op)
-            report = residual_ratio(problem, result.solution)
+            report = _residual_report(a, problem.rhs, exact, result.solution)
             records.append(
                 TrialRecord(
                     config.experiment_id,

@@ -178,6 +178,8 @@ def fit(t: DenseTensor, model: CpModel) -> float:
 
 
 def _check_rank_and_init(t: DenseTensor, rank: int, init: CpModel | None):
+    if not np.any(t.data):
+        raise ValueError(f"fit undefined for the zero tensor of shape {t.shape.dims}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if init is not None and init.rank != rank:

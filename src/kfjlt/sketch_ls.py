@@ -152,11 +152,22 @@ class ResidualReport:
 
 
 def residual_ratio(problem: KrlsProblem, x_hat, cap: int | None = None) -> ResidualReport:
+    a, exact = _exact_residual(problem, cap)
+    return _residual_report(a, problem.rhs, exact, x_hat)
+
+
+def _exact_residual(problem: KrlsProblem, cap: int | None = None) -> tuple[np.ndarray, float]:
+    """The materialized Khatri-Rao product and the exact minimum residual."""
     _check_cap(problem.shape.total * problem.ncols, cap, "materialized Khatri-Rao product")
     a = khatri_rao(problem.factor_matrices)
-    achieved = float(np.linalg.norm(a @ np.asarray(x_hat) - problem.rhs))
-    _, exact = _dense_ls(a, problem.rhs)
-    rhs_scale = max(1.0, float(np.linalg.norm(problem.rhs)))
+    return a, _dense_ls(a, problem.rhs)[1]
+
+
+def _residual_report(a, b, exact: float, x_hat) -> ResidualReport:
+    """Report for ``x_hat`` against the materialized ``a`` and the exact
+    residual already found for it, so one solve serves many ``x_hat``."""
+    achieved = float(np.linalg.norm(a @ np.asarray(x_hat) - b))
+    rhs_scale = max(1.0, float(np.linalg.norm(b)))
     if exact <= 1e-12 * rhs_scale:
         return ResidualReport(achieved, achieved, exact, True)
     return ResidualReport(achieved / exact, achieved, exact, False)

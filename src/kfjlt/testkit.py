@@ -4,6 +4,14 @@ Everything here trades efficiency for being obviously correct: dense
 operator application, exhaustive support enumeration for restricted isometry
 constants, exact sign-pattern enumeration for concentration tails whenever
 2^n is small enough, and direct evaluation of the sorted-block norm bounds.
+
+One shortcut keeps the support enumeration exact: when the Gram deviation
+``G = psi^T psi - I`` is circulant up to ±1 signs (checked, to a tolerance
+``1e-12 * max(1, max|G|) / (2 * order)``), every support has the spectrum of
+its cyclic shift containing column 0, so only those ``C(n-1, order-1)``
+supports are decomposed instead of all ``C(n, order)``. ``RipReport``
+records both counts: ``supports_checked`` (covered) and
+``supports_enumerated`` (decomposed).
 """
 
 from __future__ import annotations
@@ -44,13 +52,35 @@ def _all_sign_patterns(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RipReport:
-    """Measured restricted isometry level of a matrix at a given order."""
+    """Measured restricted isometry level of a matrix at a given order;
+    ``delta`` covers ``supports_checked`` supports, of which
+    ``supports_enumerated`` were decomposed (see :func:`rip_constant`)."""
 
     rows: int
     cols: int
     order: int
     delta: float
     supports_checked: int
+    supports_enumerated: int
+
+
+def _circulant_up_to_signs(gram: np.ndarray, order: int) -> bool:
+    """Whether ±1 signs ``s`` make ``diag(s) gram diag(s)`` circulant to
+    within ``tol``, walking ``s[j+1] = s[j] * sign(gram[j, j+1]) * sigma``
+    for both ``sigma = ±1``. A superdiagonal entry within ``tol`` of zero
+    cannot fix the signs, so it answers False."""
+    n = gram.shape[0]
+    tol = 1e-12 * max(1.0, float(np.abs(gram).max())) / (2 * order)
+    superdiag = np.diagonal(gram, 1)
+    if np.any(np.abs(superdiag) <= tol):
+        return False
+    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    for sigma in (1.0, -1.0):
+        s = np.concatenate([[1.0], np.cumprod(np.sign(superdiag) * sigma)])
+        flipped = s[:, None] * gram * s[None, :]
+        if np.abs(flipped - flipped[0][shift]).max() <= tol:
+            return True
+    return False
 
 
 def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
@@ -59,6 +89,18 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
 
     Complex matrices are measured through their real stacking, which has the
     same restricted isometry behavior on real vectors.
+
+    When ``G = psi^T psi - I`` is circulant up to a diagonal sign similarity
+    (as for a sign-flipped, row-subsampled DFT), every support has the
+    spectrum of its cyclic shift that contains column 0, so only those
+    ``C(n-1, order-1)`` supports are decomposed. The shortcut is taken only
+    when a sign walk makes ``G`` circulant to within ``1e-12 * max(1,
+    max|G|) / (2 * order)`` entrywise, which keeps the delta within ``1e-12
+    * max(1, max|G|)`` of full enumeration (Weyl); otherwise all
+    ``C(n, order)`` supports are decomposed. Either way ``supports_checked``
+    is ``C(n, order)``, the supports the delta covers, and the
+    ``max_supports`` budget is compared against it; ``supports_enumerated``
+    counts the sub-Grams actually decomposed.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
@@ -73,9 +115,14 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
             "use a smaller instance or raise max_supports"
         )
     gram = psi.T @ psi - np.eye(n)
+    if _circulant_up_to_signs(gram, order):
+        combos = ((0,) + c for c in itertools.combinations(range(1, n), order - 1))
+        enumerated = math.comb(n - 1, order - 1)
+    else:
+        combos = itertools.combinations(range(n), order)
+        enumerated = count
     delta = 0.0
-    combos = itertools.combinations(range(n), order)
-    chunk_size = max(1, min(count, 100_000))
+    chunk_size = max(1, min(enumerated, 100_000))
     dtype = np.dtype((np.intp, (order,)))
     while True:
         sup = np.fromiter(itertools.islice(combos, chunk_size), dtype=dtype, count=-1)
@@ -84,7 +131,7 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
         sup = sup.reshape(-1, order)
         sub = gram[sup[:, :, None], sup[:, None, :]]
         delta = max(delta, float(np.abs(np.linalg.eigvalsh(sub)).max()))
-    return RipReport(m, n, order, delta, count)
+    return RipReport(m, n, order, delta, count, enumerated)
 
 
 def distortion_quadratic_form(psi, x, zeta: SignVector) -> float:

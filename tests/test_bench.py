@@ -144,12 +144,14 @@ def test_ls_runner_builds_each_problem_once(monkeypatch):
     import kfjlt.bench as bench
     import kfjlt.sketch_ls as sketch_ls
 
-    built, kr_calls = [], []
-    make, khatri_rao = bench.make_ls_problem, sketch_ls.khatri_rao
+    built, kr_calls, solves = [], [], []
+    make, khatri_rao, dense_ls = bench.make_ls_problem, sketch_ls.khatri_rao, sketch_ls._dense_ls
     monkeypatch.setattr(bench, "make_ls_problem", lambda cfg, trial: built.append(trial) or make(cfg, trial))
+    monkeypatch.setattr(sketch_ls, "_dense_ls", lambda a, b: solves.append(1) or dense_ls(a, b))
     cfg = ExperimentConfig(kind="ls", shape=(4, 4, 4), m_grid=(8, 32), trials=2, seed=7, rank=2)
     run_ls(cfg)
     assert built == [0, 1]
+    assert len(solves) == 2  # the exact problem is solved once per trial, not once per m
     # the residual ratio materializes the Khatri-Rao product once
     monkeypatch.setattr(sketch_ls, "khatri_rao", lambda mats: kr_calls.append(1) or khatri_rao(mats))
     sketch_ls.residual_ratio(make(cfg, 0), np.zeros(2))

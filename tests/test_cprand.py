@@ -318,6 +318,8 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cprand_mix(t, 3, 0), "m must be >= 1, got 0"),
         (lambda: cprand_mix(t, 0, 10), "rank must be >= 1, got 0"),
         (lambda: cp_als(t, 0), "rank must be >= 1, got 0"),
+        (lambda: cprand_mix(DenseTensor(shape, np.zeros(64)), 2, 10), r"zero tensor of shape \(4, 4, 4\)"),
+        (lambda: cp_als(DenseTensor(shape, np.zeros(64)), 2), r"zero tensor of shape \(4, 4, 4\)"),
     ]
     for call, match in cases:
         with pytest.raises(ValueError, match=match):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kfjlt.kron import ResourceLimitError
+from kfjlt.kron import ResourceLimitError, Shape
 from kfjlt.sketch_ls import complexify
 from kfjlt.testkit import (
     block_norm_bounds_check,
@@ -18,7 +18,7 @@ from kfjlt.testkit import (
     rip_constant,
     verify_suite,
 )
-from kfjlt.transforms import FjltOperator, materialize_operator, rademacher
+from kfjlt.transforms import FjltOperator, KfjltOperator, materialize_operator, rademacher
 
 
 def test_dense_oracle_apply():
@@ -65,6 +65,69 @@ def test_rip_constant_is_tight():
             x = rng.standard_normal(order)
             lhs = np.linalg.norm(psi[:, idx] @ x) ** 2
             assert abs(lhs - x @ x) <= (report.delta + 1e-12) * (x @ x)
+
+
+def _brute_force_rip(psi, order):
+    psi = complexify(psi) if np.iscomplexobj(psi) else psi
+    gram = psi.T @ psi - np.eye(psi.shape[1])
+    return max(
+        float(np.abs(np.linalg.eigvalsh(gram[np.ix_(idx, idx)])).max())
+        for idx in itertools.combinations(range(psi.shape[1]), order)
+    )
+
+
+def _signed_circulant_psi(n, rng, perturb=0.0):
+    """A matrix whose Gram deviation is a random symmetric circulant with a
+    negative first off-diagonal, under random signs (plus an optional
+    perturbation of one symmetric pair)."""
+    c = 0.05 * rng.standard_normal(n)
+    c = (c + c[(-np.arange(n)) % n]) / 2
+    c[0], c[1], c[-1] = 0.0, -0.04, -0.04
+    circ = c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    signs = rng.choice([-1.0, 1.0], n)
+    gram = signs[:, None] * circ * signs[None, :]
+    gram[2, 5] += perturb
+    gram[5, 2] += perturb
+    return np.linalg.cholesky(np.eye(n) + gram).T
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("replacement", [True, False])
+def test_rip_shift_shortcut_matches_brute_force(n, replacement):
+    order = 3
+    psi = materialize_operator(FjltOperator.from_seed((n, replacement), n, 7, replacement))
+    ref = _brute_force_rip(psi, order)
+    for mat in (psi, complexify(psi)):
+        report = rip_constant(mat, order)
+        assert abs(report.delta - ref) <= 1e-12
+        assert report.supports_checked == math.comb(n, order)
+        assert report.supports_enumerated == math.comb(n - 1, order - 1)
+
+
+def test_rip_shift_shortcut_on_signed_circulant_odd_n():
+    # odd n with a negative first off-diagonal: only the sigma = -1 walk fits
+    psi = _signed_circulant_psi(9, np.random.default_rng(3))
+    report = rip_constant(psi, 3)
+    assert report.supports_enumerated == math.comb(8, 2)
+    assert abs(report.delta - _brute_force_rip(psi, 3)) <= 1e-12
+
+
+def test_rip_full_enumeration_when_not_circulant():
+    rng = np.random.default_rng(4)
+    zero_superdiag = rng.standard_normal((6, 9)) / np.sqrt(6)
+    zero_superdiag[:3, 0] = zero_superdiag[3:, 1] = 0.0  # columns 0 and 1 exactly orthogonal
+    zero_superdiag /= np.linalg.norm(zero_superdiag, axis=0)  # and a zero Gram diagonal
+    cases = [
+        rng.standard_normal((6, 9)) / np.sqrt(6),
+        zero_superdiag,
+        materialize_operator(KfjltOperator.from_seed(0, Shape((3, 4)), 8)),
+        _signed_circulant_psi(9, np.random.default_rng(3), perturb=1e-9),
+    ]
+    for psi in cases:
+        report = rip_constant(psi, 3)
+        n = report.cols
+        assert report.supports_enumerated == report.supports_checked == math.comb(n, 3)
+        assert abs(report.delta - _brute_force_rip(psi, 3)) <= 1e-12
 
 
 def test_quadratic_form_identity():
