@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import Shape, _check_cap, khatri_rao, khatri_rao_rows
+from .kron import Shape, _check_cap, khatri_rao, khatri_rao_rows, multi_index_array
 from .sketch_ls import complexify, least_squares
 from .transforms import SignVector, as_seed_sequence, mix_factor, mix_modes, rademacher, seed_children
 
@@ -131,20 +131,12 @@ def khatri_rao_all_but(model: CpModel, mode: int) -> np.ndarray:
 
 
 def _gather_unfolding_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
-    """Rows ``rows`` of ``unfold(t, mode).T`` gathered straight from the flat
-    data: O(m * n_k) instead of the O(N) unfolding copy."""
-    rows = np.asarray(rows, dtype=np.intp)
-    rest = _rest_dims(t.shape, mode)
-    strides = t.shape.strides()
-    stride_k = strides[mode - 1]
-    rest_strides = strides[: mode - 1] + strides[mode:]
-    if rest:
-        coords = np.unravel_index(rows, rest, order="F")
-        base = sum(c * s for c, s in zip(coords, rest_strides))
-    else:
-        base = np.zeros(rows.size, dtype=np.intp)
+    """Rows ``rows`` of ``unfold(t, mode).T`` gathered straight from a view
+    of the data: O(m * n_k) instead of the O(N) unfolding copy."""
+    rest = _rest_dims(t.shape, mode) or (1,)  # a 1-way tensor unfolds to one column
     nk = t.shape.dims[mode - 1]
-    return t.data[base[:, None] + stride_k * np.arange(nk)[None, :]]
+    view = np.moveaxis(t.as_array(), mode - 1, -1).reshape(rest + (nk,))
+    return view[multi_index_array(Shape(rest), rows)]
 
 
 def reconstruct(model: CpModel, cap: int | None = None) -> DenseTensor:
@@ -157,16 +149,19 @@ def reconstruct(model: CpModel, cap: int | None = None) -> DenseTensor:
     _check_cap(shape.total, cap, "reconstructed tensor")
     data = np.zeros(shape.total)
     for r in range(model.rank):
-        term = model.factors[0][:, r]
-        for a in model.factors[1:]:
-            term = np.multiply.outer(a[:, r], term).reshape(-1)
-        data += term
+        data += khatri_rao([a[:, r] for a in model.factors])
     return DenseTensor(shape, data)
+
+
+def _residual_norm(t: DenseTensor, model: CpModel) -> np.float64:
+    """``||X - M||_F``: the one rebuild of the N-entry model behind both
+    ``fit`` and ``objective``."""
+    return np.linalg.norm(t.data - reconstruct(model).data)
 
 
 def objective(t: DenseTensor, model: CpModel) -> float:
     """Squared Frobenius misfit ``||X - M||^2``."""
-    return float(np.linalg.norm(t.data - reconstruct(model).data) ** 2)
+    return float(_residual_norm(t, model) ** 2)
 
 
 def fit(t: DenseTensor, model: CpModel) -> float:
@@ -174,10 +169,14 @@ def fit(t: DenseTensor, model: CpModel) -> float:
     scale = t.norm()
     if scale == 0:
         raise ValueError("fit undefined for the zero tensor")
-    return 1.0 - float(np.linalg.norm(t.data - reconstruct(model).data)) / scale
+    return 1.0 - float(_residual_norm(t, model)) / scale
 
 
 def _check_rank_and_init(t: DenseTensor, rank: int, init: CpModel | None):
+    finite = np.isfinite(t.data)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"tensor of shape {t.shape.dims} holds {t.data[i]} at linear index {i}")
     if not np.any(t.data):
         raise ValueError(f"fit undefined for the zero tensor of shape {t.shape.dims}")
     if rank < 1:
@@ -232,6 +231,7 @@ def cp_als(
         rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
         init = random_model(t.shape, rank, rng)
     model = init
+    scale = t.norm()
     fits, objectives, seconds = [], [], []
     prev_fit = -np.inf
     converged = False
@@ -239,9 +239,10 @@ def cp_als(
         t0 = time.perf_counter()
         model = cp_als_sweep(t, model)
         seconds.append(time.perf_counter() - t0)
-        f = fit(t, model)
+        residual = _residual_norm(t, model)
+        f = 1.0 - float(residual) / scale
         fits.append(f)
-        objectives.append(objective(t, model))
+        objectives.append(float(residual**2))
         if f - prev_fit < fit_tol:
             converged = True
             break

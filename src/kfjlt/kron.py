@@ -58,20 +58,6 @@ class Shape:
     def total(self) -> int:
         return math.prod(self.dims)
 
-    def strides(self) -> tuple[int, ...]:
-        """Mode-1-fastest strides: stride of mode k is ``n_1 * ... * n_{k-1}``."""
-        out, acc = [], 1
-        for n in self.dims:
-            out.append(acc)
-            acc *= n
-        return tuple(out)
-
-    def drop(self, mode: int) -> "Shape":
-        """Shape with 1-based ``mode`` removed (used by unfoldings)."""
-        if not 1 <= mode <= self.ndim:
-            raise ValueError(f"mode {mode} out of range 1..{self.ndim}")
-        return Shape(self.dims[: mode - 1] + self.dims[mode:])
-
 
 @dataclass(frozen=True)
 class KroneckerVector:
@@ -103,10 +89,7 @@ def kron_materialize(v: KroneckerVector, cap: int | None = None) -> np.ndarray:
     Oracle-only path; guarded by the materialization cap.
     """
     _check_cap(v.shape.total, cap, "materialized Kronecker vector")
-    out = v.factors[0]
-    for f in v.factors[1:]:
-        out = np.kron(f, out)
-    return out
+    return khatri_rao(v.factors)
 
 
 def kron_norm_sq(v: KroneckerVector) -> float:
@@ -118,30 +101,32 @@ def khatri_rao(matrices) -> np.ndarray:
     """Column-wise Kronecker product of matrices sharing a column count.
 
     Given ``(M_1, ..., M_d)`` with ``M_k`` of size ``n_k x R``, column ``j`` of
-    the result is the materialized Kronecker vector with factors
-    ``(M_1[:, j], ..., M_d[:, j])``, linearized mode 1 fastest like every
-    index in this module.
+    the result is the Kronecker vector ``M_d[:, j] (x) ... (x) M_1[:, j]``,
+    linearized mode 1 fastest like every index in this module. 1-D inputs
+    ``(x_1, ..., x_d)`` give the length-N Kronecker vector itself. This is the
+    package's one kernel that forms a dense Kronecker product.
 
     Parameters
     ----------
-    matrices : sequence of 2-D arrays with equal column counts.
+    matrices : sequence of 2-D arrays with equal column counts, or of 1-D
+        arrays.
 
     Returns
     -------
-    ndarray of shape ``(prod n_k, R)``.
+    ndarray of shape ``(prod n_k, R)``, or ``(prod n_k,)`` for 1-D inputs.
     """
     matrices = [np.asarray(m) for m in matrices]
     if not matrices:
         raise ValueError("need at least one matrix")
-    if any(m.ndim != 2 for m in matrices):
-        raise ValueError("all inputs must be matrices")
-    ncols = matrices[0].shape[1]
-    if any(m.shape[1] != ncols for m in matrices):
+    if any(m.ndim != matrices[0].ndim for m in matrices) or matrices[0].ndim not in (1, 2):
+        raise ValueError("inputs must be all matrices or all vectors")
+    cols = matrices[0].shape[1:]
+    if any(m.shape[1:] != cols for m in matrices):
         raise ValueError("all matrices must share the same column count")
     out = matrices[0]
     for m in matrices[1:]:
-        # (n_next, n_acc, R) reshaped C-order keeps the accumulated index fastest.
-        out = (m[:, None, :] * out[None, :, :]).reshape(-1, ncols)
+        # (n_next, n_acc[, R]) reshaped C-order keeps the accumulated index fastest.
+        out = (m[:, None] * out[None, :]).reshape((-1,) + cols)
     return out
 
 

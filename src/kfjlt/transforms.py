@@ -29,8 +29,9 @@ from .kron import (
     KroneckerVector,
     Shape,
     _check_cap,
+    khatri_rao,
     khatri_rao_rows,
-    kron_materialize,
+    multi_index_array,
 )
 
 
@@ -79,11 +80,18 @@ def rademacher(n: int, rng: np.random.Generator) -> SignVector:
     return SignVector(rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0)
 
 
+def _dft_rows(n: int, rows) -> np.ndarray:
+    """Rows ``rows`` of the unitary DFT in closed form,
+    ``exp(-2 pi i (j l mod n) / n) / sqrt(n)``, independent of ``np.fft``."""
+    phase = np.outer(np.asarray(rows, dtype=np.int64), np.arange(n, dtype=np.int64)) % n
+    return np.exp((-2j * np.pi / n) * phase) / math.sqrt(n)
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Dense unitary DFT matrix (oracle helper)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return np.fft.fft(np.eye(n), axis=0, norm="ortho")
+    return _dft_rows(n, np.arange(n))
 
 
 def mix_modes(t, sign_vectors) -> np.ndarray:
@@ -264,10 +272,7 @@ def factored_apply(op: FactoredKfjltOperator, v: KroneckerVector) -> np.ndarray:
     x_k)`` (length prod m_k)."""
     if v.shape != op.shape:
         raise ValueError(f"shape mismatch: vector {v.shape.dims} vs operator {op.shape.dims}")
-    out = kfjlt_apply_dense(op.operators[0], v.factors[0])
-    for fop, x in zip(op.operators[1:], v.factors[1:]):
-        out = np.kron(kfjlt_apply_dense(fop, x), out)
-    return out
+    return khatri_rao([kfjlt_apply_dense(fop, x) for fop, x in zip(op.operators, v.factors)])
 
 
 def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
@@ -278,16 +283,20 @@ def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
 
 
 def materialize_operator(op, cap: int | None = None) -> np.ndarray:
-    """Dense ``m x N`` matrix of a sketching operator (oracle-only path)."""
+    """Dense ``m x N`` matrix of a sketching operator (oracle-only path).
+
+    For a ``KfjltOperator`` only the m sampled rows are formed: row ``r``
+    is the Kronecker product over k of row ``r_k`` of ``F_k D_k``, so the
+    working set is O(m N) and the cap bounds what is allocated.
+    """
     if isinstance(op, KfjltOperator):
         _check_cap(op.shape.total * op.m, cap, "materialized operator")
-        u = dft_matrix(op.shape.dims[0])
-        for n in op.shape.dims[1:]:
-            u = np.kron(dft_matrix(n), u)
-        zeta = kron_materialize(
-            KroneckerVector(tuple(sv.signs for sv in op.sign_vectors)), cap=cap
-        )
-        return op.scale * u[op.rows] * zeta[None, :]
+        coords = multi_index_array(op.shape, op.rows)
+        blocks = [
+            (_dft_rows(n, c) * sv.signs).T
+            for n, c, sv in zip(op.shape.dims, coords, op.sign_vectors)
+        ]
+        return op.scale * khatri_rao(blocks).T
     if isinstance(op, FactoredKfjltOperator):
         _check_cap(op.shape.total * op.m, cap, "materialized operator")
         full = materialize_operator(op.operators[0], cap)

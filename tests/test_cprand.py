@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kfjlt.cprand import (
     CpModel,
+    _gather_unfolding_rows,
     DenseTensor,
     cp_als,
     cp_als_sweep,
@@ -102,6 +104,30 @@ def test_reconstruct_peak_memory_independent_of_rank():
     assert peak <= 4 * 8 * shape.total
 
 
+def test_reconstruct_bitwise_matches_multiply_outer():
+    rng = np.random.default_rng(23)
+    for dims in [(5,), (3, 4), (2, 3, 4), (3, 1, 2, 4)]:
+        model = random_model(Shape(dims), 3, rng)
+        ref = np.zeros(math.prod(dims))
+        for r in range(3):
+            term = model.factors[0][:, r]
+            for a in model.factors[1:]:
+                term = np.multiply.outer(a[:, r], term).reshape(-1)
+            ref += term
+        assert np.array_equal(reconstruct(model).data, ref)
+
+
+def test_gather_unfolding_rows_bitwise_matches_unfolding():
+    rng = np.random.default_rng(24)
+    for dims in [(5,), (3, 4), (2, 3, 4), (3, 1, 2, 4)]:
+        shape = Shape(dims)
+        t = DenseTensor(shape, rng.standard_normal(shape.total) + 1j * rng.standard_normal(shape.total))
+        for mode in range(1, len(dims) + 1):
+            rows = rng.integers(0, shape.total // dims[mode - 1], size=7)
+            got = _gather_unfolding_rows(t, mode, rows)
+            assert np.array_equal(got, unfold(t, mode).T[rows])
+
+
 def test_reconstruct_rank_one_basis():
     model = CpModel(tuple(np.eye(n)[:, :1] for n in (3, 4, 2)))
     t = reconstruct(model)
@@ -150,6 +176,24 @@ def test_fit_examples():
         fit(DenseTensor(shape, np.zeros(64)), truth)
 
 
+def test_cp_als_rebuilds_the_model_once_per_sweep(monkeypatch):
+    rng = np.random.default_rng(25)
+    shape = Shape((5, 4, 3))
+    t = DenseTensor(shape, rng.standard_normal(shape.total))
+    calls = []
+
+    def counting_reconstruct(model, cap=None):
+        calls.append(model)
+        return reconstruct(model, cap)
+
+    monkeypatch.setattr("kfjlt.cprand.reconstruct", counting_reconstruct)
+    result = cp_als(t, 2, seed=0, max_sweeps=10, fit_tol=0.0)
+    assert result.sweeps_run >= 2
+    assert len(calls) == result.sweeps_run
+    assert result.fits[-1] == fit(t, result.model)
+    assert result.objectives[-1] == objective(t, result.model)
+
+
 def test_exact_als_reaches_high_fit():
     hits = 0
     for seed in range(10):
@@ -184,7 +228,7 @@ def test_mixed_unfolding_unmixes_to_sketched_rhs():
     signs = [rademacher(n, rng) for n in dims]
     mixed = mix_tensor(t, signs)
     mode = 2
-    sub = shape.drop(mode)
+    sub = Shape((3, 2))  # the modes other than 2
     rows = rng.integers(0, sub.total, size=5)
     scale = float(np.sqrt(sub.total / rows.size))
     op = KfjltOperator(
@@ -203,7 +247,7 @@ def test_exhaustive_sweep_matches_exact_als():
     init = random_model(shape, 2, rng)
     signs = [rademacher(n, rng) for n in shape.dims]
     mixed = mix_tensor(t, signs)
-    rows = [np.arange(shape.drop(mode).total) for mode in (1, 2, 3)]
+    rows = [np.arange(shape.total // n) for n in shape.dims]
     sketched, degenerate = cprand_mix_sweep(mixed, init, signs, rows)
     exact = cp_als_sweep(t, init)
     assert degenerate == 0
@@ -220,13 +264,13 @@ def test_sketched_mode_solve_matches_sketch_ls():
     init = random_model(shape, 2, rng)
     signs = [rademacher(n, rng) for n in shape.dims]
     mixed = mix_tensor(t, signs)
-    sub = shape.drop(1)
+    sub = Shape((4, 2))  # the modes other than 1
     rows1 = rng.integers(0, sub.total, size=6)
     model, _ = cprand_mix_sweep(
         mixed,
         init,
         signs,
-        [rows1, np.arange(shape.drop(2).total), np.arange(shape.drop(3).total)],
+        [rows1, np.arange(3 * 2), np.arange(3 * 4)],
     )
     op = KfjltOperator(sub, (signs[1], signs[2]), rows1, float(np.sqrt(sub.total / 6)))
     problem = KrlsProblem((init.factors[1], init.factors[2]), unfold(t, 1).T)
@@ -304,6 +348,8 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
     t = reconstruct(random_model(shape, 2, rng))
     rank_two = random_model(shape, 2, rng)
     wrong_shape = random_model(Shape((4, 4, 5)), 3, rng)
+    nan, inf = t.data.copy(), t.data.copy()
+    nan[17], inf[5] = np.nan, -np.inf
 
     def no_work(*args):
         raise AssertionError("work started before the input was checked")
@@ -320,6 +366,10 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cp_als(t, 0), "rank must be >= 1, got 0"),
         (lambda: cprand_mix(DenseTensor(shape, np.zeros(64)), 2, 10), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cp_als(DenseTensor(shape, np.zeros(64)), 2), r"zero tensor of shape \(4, 4, 4\)"),
+        (lambda: cprand_mix(DenseTensor(shape, nan), 2, 10), r"\(4, 4, 4\).* nan at linear index 17$"),
+        (lambda: cp_als(DenseTensor(shape, nan), 2), r"\(4, 4, 4\).* nan at linear index 17$"),
+        (lambda: cprand_mix(DenseTensor(shape, inf), 2, 10), r"\(4, 4, 4\).* -inf at linear index 5$"),
+        (lambda: cp_als(DenseTensor(shape, inf), 2), r"\(4, 4, 4\).* -inf at linear index 5$"),
     ]
     for call, match in cases:
         with pytest.raises(ValueError, match=match):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from kfjlt.kron import (
 def test_shape_validation():
     s = Shape((3, 4, 5))
     assert s.total == 60 and s.ndim == 3
-    assert s.strides() == (1, 3, 12)
+    # mode-1-fastest strides n_1 * ... * n_{k-1} = (1, 3, 12)
+    assert multi_index_array(s, 1 + 2 * 3 + 4 * 12) == (1, 2, 4)
     with pytest.raises(ValueError):
         Shape(())
     with pytest.raises(ValueError):
@@ -46,8 +49,9 @@ def test_index_bijection_exhaustive(dims):
     assert shape.total <= 10_000
     idx = np.arange(shape.total)
     coords = multi_index_array(shape, idx)
-    # mode-1-fastest linearization: i = sum_k i_k * stride_k
-    assert np.array_equal(sum(c * s for c, s in zip(coords, shape.strides())), idx)
+    # mode-1-fastest linearization: i = sum_k i_k * n_1 * ... * n_{k-1}
+    strides = [math.prod(dims[:k]) for k in range(len(dims))]
+    assert np.array_equal(sum(c * s for c, s in zip(coords, strides)), idx)
     for c, n in zip(coords, dims):
         assert c.min() == 0 and c.max() == n - 1
     back = np.ravel_multi_index(coords, dims, order="F")
@@ -68,6 +72,17 @@ def test_kron_materialize_examples():
     )
     v = KroneckerVector(([1.0, 2.0], [3.0, 4.0]))
     assert np.array_equal(kron_materialize(v), [3.0, 6.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 4), (2, 3, 4), (3, 1, 2, 4)])
+def test_kron_materialize_bitwise_matches_np_kron(dims):
+    rng = np.random.default_rng(5)
+    factors = [rng.standard_normal(n) for n in dims]
+    ref = factors[0]
+    for f in factors[1:]:
+        ref = np.kron(f, ref)
+    assert np.array_equal(kron_materialize(KroneckerVector(tuple(factors))), ref)
+    assert np.array_equal(khatri_rao(factors), ref)
 
 
 def test_kron_materialize_entry_formula():
@@ -110,8 +125,12 @@ def test_khatri_rao_examples():
     assert np.array_equal(khatri_rao([a, b]), [[3.0], [6.0], [4.0], [8.0]])
     single = np.arange(6.0).reshape(2, 3)
     assert np.array_equal(khatri_rao([single]), single)
+    # 1-D inputs give the Kronecker vector x_2 (x) x_1
+    assert np.array_equal(khatri_rao([[1.0, 2.0], [3.0, 4.0]]), [3.0, 6.0, 4.0, 8.0])
     with pytest.raises(ValueError):
         khatri_rao([np.ones((2, 2)), np.ones((2, 3))])
+    with pytest.raises(ValueError):
+        khatri_rao([np.ones(2), np.ones((2, 1))])
 
 
 def test_khatri_rao_column_consistency():

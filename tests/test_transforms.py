@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ def test_factored_apply_matches_oracle():
         assert np.allclose(factored_apply(op, v), ref, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 1, 4)])
+def test_factored_apply_bitwise_matches_np_kron(dims):
+    rng = np.random.default_rng(14)
+    op = FactoredKfjltOperator.from_seed(8, Shape(dims), [min(2, n) for n in dims])
+    v = KroneckerVector(tuple(rng.standard_normal(n) for n in dims))
+    ref = kfjlt_apply_dense(op.operators[0], v.factors[0])
+    for fop, x in zip(op.operators[1:], v.factors[1:]):
+        ref = np.kron(kfjlt_apply_dense(fop, x), ref)
+    assert np.iscomplexobj(ref)
+    assert np.array_equal(factored_apply(op, v), ref)
+
+
 def test_factored_degree_one_equals_fjlt():
     seed = np.random.SeedSequence(13)
     fac = FactoredKfjltOperator.from_seed(seed, Shape((16,)), [5])
@@ -224,6 +237,36 @@ def test_materialized_operator_small_cases():
     op = KfjltOperator(Shape((2,)), (SignVector(np.ones(2)),), np.array([0, 1]), 1.0)
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     assert np.allclose(materialize_operator(op), expected, atol=1e-14)
+
+
+def kron_dft_rows_reference(op):
+    """Sampled rows of the ``np.kron`` chain of the per-factor ``F_k D_k``,
+    taken from ``np.fft``: the unitary DFT is symmetric, so row j of ``F_k``
+    is the FFT of the unit vector e_j."""
+    coords = np.unravel_index(op.rows, op.shape.dims, order="F")
+    out = []
+    for i in range(op.m):
+        row = np.ones(1)
+        for n, c, sv in zip(op.shape.dims, coords, op.sign_vectors):
+            row = np.kron(np.fft.fft(np.eye(n)[c[i]], norm="ortho") * sv.signs, row)
+        out.append(op.scale * row)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims", [(32, 32), (16, 16, 4), (4096,)])
+def test_materialize_operator_allocates_only_sampled_rows(dims):
+    # forming the N x N unitary first would peak at N/m times the output
+    op = KfjltOperator.from_seed(23, Shape(dims), m=4)
+    tracemalloc.start()
+    try:
+        dense = materialize_operator(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dense.shape == (4, op.shape.total) and dense.dtype == np.complex128
+    assert peak <= 8 * dense.nbytes
+    ref = kron_dft_rows_reference(op)
+    assert np.linalg.norm(dense - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_materialized_flatness():
