@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cprand as cp
-from .kron import KroneckerVector, Shape, khatri_rao_rows, kron_materialize, kron_norm_sq
+from .kron import KroneckerVector, Shape, khatri_rao, khatri_rao_rows, kron_materialize, kron_norm_sq
 from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, solve_sketched_ls
-from .testkit import hanson_wright_tail_check, hoeffding_tail_check
+from .testkit import gaussian_jlt_apply, hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
     FactoredKfjltOperator,
     KfjltOperator,
@@ -37,8 +37,17 @@ from .transforms import (
     seed_children,
 )
 
+# Experiment kinds, each run by ``run_<kind>``; the position fixes the kind's
+# seed-stream id, so new kinds go at the end.
 KINDS = ("distortion", "timing", "ls", "cprand", "concentration")
 _KIND_IDS = {kind: i + 1 for i, kind in enumerate(KINDS)}
+# Allowed values of the string settings, in the order the CLI lists them.
+CHOICES = {
+    "dist": ("gaussian", "uniform01"),
+    "structure": ("kron", "generic"),
+    "sampling": ("after", "before"),
+    "replacement": ("with", "without"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,21 +58,23 @@ class ExperimentConfig:
     m_grid: tuple[int, ...] = ()
     trials: int = 100
     seed: int = 0
-    dist: str = "gaussian"  # gaussian | uniform01
-    structure: str = "kron"  # kron | generic
-    sampling: str = "after"  # after | before
-    replacement: str = "with"  # with | without
+    dist: str = "gaussian"  # dist, structure, sampling, replacement: one of CHOICES[name]
+    structure: str = "kron"
+    sampling: str = "after"
+    replacement: str = "with"
     include_gaussian: bool = False
     rank: int = 5
     snr_db: float = 20.0
     max_sweeps: int = 100
     fit_tol: float = 1e-6
-    out: str | None = None
+    out: str | None = None  # empty: "<kind>.csv"
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        if not self.out:
+            object.__setattr__(self, "out", f"{self.kind}.csv")
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         Shape(self.shape)  # validates
@@ -76,15 +87,14 @@ class ExperimentConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if self.dist not in ("gaussian", "uniform01"):
-            raise ValueError(f"unknown distribution {self.dist!r}")
-        if self.structure not in ("kron", "generic"):
-            raise ValueError(f"unknown vector structure {self.structure!r}")
-        if self.sampling not in ("after", "before"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if self.replacement not in ("with", "without"):
-            raise ValueError(f"unknown replacement mode {self.replacement!r}")
-        if self.kind in ("distortion", "timing", "ls", "cprand") and not self.m_grid:
+        if math.isnan(self.fit_tol):
+            raise ValueError(f"fit_tol must not be NaN, got {self.fit_tol}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}; expected one of {allowed}")
+        if self.kind != "concentration" and not self.m_grid:
             raise ValueError(f"{self.kind} experiments need a nonempty m grid")
         if self.kind == "distortion":
             for d in self.degrees:
@@ -181,8 +191,6 @@ def _distortion_methods(config: ExperimentConfig):
 
 def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
     """Distortion-vs-m study: fresh operator and fresh test vector per trial."""
-    from .testkit import gaussian_jlt_apply
-
     records = []
     replacement = config.replacement == "with"
     big_n = math.prod(config.shape)
@@ -310,8 +318,6 @@ def make_ls_problem(config: ExperimentConfig, trial: int) -> KrlsProblem:
     rng = np.random.Generator(np.random.PCG64(ss))
     factors = tuple(rng.standard_normal((n, config.rank)) for n in config.shape)
     x_true = rng.standard_normal(config.rank)
-    from .kron import khatri_rao
-
     a = khatri_rao(factors)
     signal = a @ x_true
     noise = rng.standard_normal(signal.size)
@@ -409,14 +415,8 @@ def run_concentration(config: ExperimentConfig) -> list[TrialRecord]:
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
-    runner = {
-        "distortion": run_distortion,
-        "timing": run_timing,
-        "ls": run_ls,
-        "cprand": run_cprand,
-        "concentration": run_concentration,
-    }[config.kind]
-    return runner(config)
+    # Looked up by name on each call, so a rebound ``run_<kind>`` is the one run.
+    return globals()[f"run_{config.kind}"](config)
 
 
 def summarize(records) -> list[tuple[str, int, float, float, int]]:

@@ -5,8 +5,10 @@ Subcommands: ``distortion``, ``timing``, ``ls``, ``cprand``,
 ``verify`` (runs the oracle/verification battery and sets the exit code).
 
 Flags may also be supplied through ``--config path`` pointing at a
-``key=value`` text file (same keys as the long flag names, underscores for
-dashes); explicit command-line flags override file values.
+``key=value`` text file (keys are the long flag names, underscores or
+dashes). Each line becomes a ``--key=value`` flag parsed ahead of the command
+line, so a file value is checked exactly as its flag would be and explicit
+flags override it. Every default lives in ``ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ExperimentConfig, emit_csv, run_experiment
+from .bench import CHOICES, KINDS, ExperimentConfig, emit_csv, run_experiment
 from .testkit import verify_suite
+
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def parse_shape(text: str) -> tuple[int, ...]:
@@ -49,8 +53,10 @@ def parse_m_grid(text: str) -> tuple[int, ...]:
     return tuple(range(start, stop + 1, step))
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    out = {}
+def config_flags(path: str) -> list[str]:
+    """The ``--key=value`` flags of a ``key=value`` config file; ``gaussian``
+    takes true/1/yes (the bare flag) or false/0/no (no flag)."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -58,86 +64,48 @@ def read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
+            key, value = (part.strip() for part in line.split("=", 1))
+            key = key.replace("_", "-")
+            if key == "config":
+                raise ValueError(f"unknown config key {key!r}")
+            if key != "gaussian":
+                flags.append(f"--{key}={value}")
+            elif value.lower() in _TRUE:
+                flags.append("--gaussian")
+            elif value.lower() not in _FALSE:
+                raise ValueError(f"bad gaussian value {value!r}; expected one of {_TRUE + _FALSE}")
+    return flags
 
 
 def _add_experiment_flags(sub):
     sub.add_argument("--shape", type=parse_shape, help="e.g. 125x125")
     sub.add_argument("--degrees", type=parse_int_list, help="e.g. 1,2,3")
     sub.add_argument("--m-grid", type=parse_m_grid, help="start:stop:step (stop inclusive)")
-    sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024")
+    sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024 (wins over --m-grid)")
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--dist", choices=["gaussian", "uniform01"])
-    sub.add_argument("--structure", choices=["kron", "generic"])
-    sub.add_argument("--sampling", choices=["after", "before"])
-    sub.add_argument("--replacement", choices=["with", "without"])
-    sub.add_argument("--gaussian", action="store_true", default=None,
+    for name, allowed in CHOICES.items():
+        sub.add_argument(f"--{name}", choices=allowed)
+    sub.add_argument("--gaussian", dest="include_gaussian", action="store_true",
                      help="include the dense Gaussian baseline")
     sub.add_argument("--rank", type=int)
     sub.add_argument("--snr-db", type=float)
-    sub.add_argument("--sweeps", type=int, help="maximum ALS sweeps")
+    sub.add_argument("--sweeps", dest="max_sweeps", type=int, help="maximum ALS sweeps")
     sub.add_argument("--fit-tol", type=float, help="fit-improvement stopping tolerance")
     sub.add_argument("--out", help="output CSV path (default <kind>.csv)")
     sub.add_argument("--config", help="key=value file supplying defaults for these flags")
 
 
-_CONFIG_PARSERS = {
-    "shape": parse_shape,
-    "degrees": parse_int_list,
-    "m_grid": parse_m_grid,
-    "m_list": parse_int_list,
-    "trials": int,
-    "seed": int,
-    "dist": str,
-    "structure": str,
-    "sampling": str,
-    "replacement": str,
-    "gaussian": lambda s: s.lower() in ("1", "true", "yes"),
-    "rank": int,
-    "snr_db": float,
-    "sweeps": int,
-    "fit_tol": float,
-    "out": str,
-}
-
-
-def build_config(kind: str, args: argparse.Namespace) -> ExperimentConfig:
-    merged: dict = {}
-    if args.config:
-        file_values = read_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CONFIG_PARSERS[key](raw)
-    for key in _CONFIG_PARSERS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-
-    if merged.get("shape") is None:
+def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config of a parsed experiment command: only the flags given."""
+    settings = vars(args).copy()
+    kind = settings.pop("command")
+    settings.pop("config", None)
+    if "m_list" in settings:
+        settings["m_grid"] = settings.pop("m_list")
+    if "shape" not in settings:
         raise ValueError("a shape is required (--shape or config file)")
-    m_grid = merged.get("m_list") or merged.get("m_grid") or ()
-    return ExperimentConfig(
-        kind=kind,
-        shape=merged["shape"],
-        degrees=merged.get("degrees") or (1,),
-        m_grid=m_grid,
-        trials=merged.get("trials", 100),
-        seed=merged.get("seed", 0),
-        dist=merged.get("dist", "gaussian"),
-        structure=merged.get("structure", "kron"),
-        sampling=merged.get("sampling", "after"),
-        replacement=merged.get("replacement", "with"),
-        include_gaussian=merged.get("gaussian", False),
-        rank=merged.get("rank", 5),
-        snr_db=merged.get("snr_db", 20.0),
-        max_sweeps=merged.get("sweeps", 100),
-        fit_tol=merged.get("fit_tol", 1e-6),
-        out=merged.get("out"),
-    )
+    return ExperimentConfig(kind=kind, **settings)
 
 
 def main(argv=None) -> int:
@@ -145,23 +113,29 @@ def main(argv=None) -> int:
         prog="kfjlt", description="Kronecker FJLT experiment runner"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for kind in ("distortion", "timing", "ls", "cprand", "concentration"):
-        _add_experiment_flags(subs.add_parser(kind, help=f"run the {kind} experiment"))
-    verify = subs.add_parser("verify", help="run the oracle/verification battery")
-    verify.add_argument("--seed", type=int, default=0)
+    # Flags not given stay out of the namespace, so the defaults are the callee's.
+    quiet = {"argument_default": argparse.SUPPRESS}
+    for kind in KINDS:
+        _add_experiment_flags(subs.add_parser(kind, help=f"run the {kind} experiment", **quiet))
+    verify = subs.add_parser("verify", help="run the oracle/verification battery", **quiet)
+    verify.add_argument("--seed", type=int)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.command == "verify":
-        results = verify_suite(seed=args.seed, verbose=True)
+        del args.command
+        results = verify_suite(verbose=True, **vars(args))
         failed = [r for r in results if not r.passed]
         print(f"{len(results) - len(failed)}/{len(results)} checks passed")
         return 1 if failed else 0
 
     try:
-        config = build_config(args.command, args)
+        if "config" in args:
+            # argv[0] is the command; file flags go first, so given flags win
+            args = parser.parse_args([argv[0], *config_flags(args.config), *argv[1:]])
+        config = build_config(args)
         records = run_experiment(config)
-        out = config.out or f"{args.command}.csv"
-        csv_path, summary_path = emit_csv(records, out)
+        csv_path, summary_path = emit_csv(records, config.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

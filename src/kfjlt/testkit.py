@@ -171,6 +171,20 @@ class TailReport:
         return self.frequency <= self.bound + self.radius
 
 
+def _tail_report(statistic, n: int, t: float, bound: float, trials: int, rng) -> TailReport:
+    """Frequency of ``statistic(signs) > t`` over the rows of a sign-pattern
+    matrix: all 2^n patterns when feasible, else ``trials`` Monte Carlo draws."""
+    if (1 << n) <= EXACT_ENUMERATION_LIMIT:
+        freq = float(np.mean(statistic(_all_sign_patterns(n)) > t))
+        return TailReport(t, freq, bound, 1 << n, 0.0, True)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 to sample 2^{n} sign patterns, got {trials}")
+    signs = _rng(rng).integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
+    freq = float(np.mean(statistic(signs) > t))
+    radius = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
+    return TailReport(t, freq, bound, trials, radius, False)
+
+
 def hoeffding_bound(x, t: float) -> float:
     """``2 exp(-t^2 / (2 ||x||^2))`` for the linear Rademacher form."""
     norm_sq = float(np.asarray(x) @ np.asarray(x))
@@ -188,16 +202,7 @@ def hoeffding_tail_check(x, t: float, trials: int = 100_000, rng=None) -> TailRe
         raise ValueError("x must be a nonzero vector")
     if t <= 0:
         raise ValueError("threshold must be positive")
-    bound = hoeffding_bound(x, t)
-    n = x.size
-    if (1 << n) <= EXACT_ENUMERATION_LIMIT:
-        vals = np.abs(_all_sign_patterns(n) @ x)
-        return TailReport(t, float(np.mean(vals > t)), bound, 1 << n, 0.0, True)
-    gen = _rng(rng)
-    signs = gen.integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
-    freq = float(np.mean(np.abs(signs @ x) > t))
-    radius = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
-    return TailReport(t, freq, bound, trials, radius, False)
+    return _tail_report(lambda signs: np.abs(signs @ x), x.size, t, hoeffding_bound(x, t), trials, rng)
 
 
 def hanson_wright_bound(mat, t: float) -> float:
@@ -223,18 +228,10 @@ def hanson_wright_tail_check(mat, t: float, trials: int = 100_000, rng=None) -> 
         raise ValueError("X must have an exactly zero diagonal")
     if t <= 0:
         raise ValueError("threshold must be positive")
-    bound = hanson_wright_bound(mat, t)
-    n = mat.shape[0]
-    if (1 << n) <= EXACT_ENUMERATION_LIMIT:
-        signs = _all_sign_patterns(n)
-        vals = np.abs(np.einsum("pi,ij,pj->p", signs, mat, signs))
-        return TailReport(t, float(np.mean(vals > t)), bound, 1 << n, 0.0, True)
-    gen = _rng(rng)
-    signs = gen.integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
-    vals = np.abs(np.einsum("pi,ij,pj->p", signs, mat, signs))
-    freq = float(np.mean(vals > t))
-    radius = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
-    return TailReport(t, freq, bound, trials, radius, False)
+    return _tail_report(
+        lambda signs: np.abs(np.einsum("pi,ij,pj->p", signs, mat, signs)),
+        mat.shape[0], t, hanson_wright_bound(mat, t), trials, rng,
+    )
 
 
 def _magnitude_blocks(v: np.ndarray, s: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from kfjlt.bench import (
     run_timing,
     summarize,
 )
-from kfjlt.cli import build_config, main, parse_m_grid, parse_shape
+from kfjlt.cli import main, parse_m_grid, parse_shape
 from kfjlt.kron import KroneckerVector, kron_materialize
 
 
@@ -64,6 +64,13 @@ def test_config_validation():
         ExperimentConfig(kind="ls", shape=(4, 4), m_grid=(8,), rank=0)
     with pytest.raises(ValueError, match="max_sweeps must be >= 1, got 0"):
         ExperimentConfig(kind="cprand", shape=(4, 4), m_grid=(8,), max_sweeps=0)
+    with pytest.raises(ValueError, match="fit_tol must not be NaN, got nan"):
+        ExperimentConfig(kind="cprand", shape=(4, 4), m_grid=(8,), fit_tol=float("nan"))
+    for snr_db in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match=f"snr_db must be finite or \\+inf, got {snr_db}"):
+            ExperimentConfig(kind="ls", shape=(4, 4), m_grid=(8,), snr_db=snr_db)
+    with pytest.raises(ValueError, match="unknown dist 'normal'"):
+        ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(4,), dist="normal")
 
 
 def _distortion_config(**kw):
@@ -260,29 +267,67 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 3
 
 
+def _exit_code(argv) -> int:
+    """``main``'s return value, or the status of the argparse exit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_cli_config_file_and_override(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "shape=2x2x2x2\ndegrees=1,2\nm_list=4\ntrials=2\nseed=1\n# comment\n"
     )
-    import argparse
+    from_file = tmp_path / "file.csv"
+    from_flags = tmp_path / "flags.csv"
+    # the command-line --trials 5 wins over the file's trials=2
+    assert main(["distortion", "--config", str(cfg_file), "--trials", "5", "--out", str(from_file)]) == 0
+    assert main([
+        "distortion", "--shape", "2x2x2x2", "--degrees", "1,2", "--m-list", "4",
+        "--trials", "5", "--seed", "1", "--out", str(from_flags),
+    ]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+    summary = ".summary.csv"
+    assert from_file.with_suffix(summary).read_bytes() == from_flags.with_suffix(summary).read_bytes()
+    assert len(from_file.read_text().splitlines()) == 1 + 2 * 5
 
-    ns = argparse.Namespace(
-        shape=None, degrees=None, m_grid=None, m_list=None, trials=5, seed=None,
-        dist=None, structure=None, sampling=None, replacement=None, gaussian=None,
-        rank=None, snr_db=None, sweeps=None, fit_tol=None, out=None,
-        config=str(cfg_file),
-    )
-    config = build_config("distortion", ns)
-    assert config.shape == (2, 2, 2, 2)
-    assert config.trials == 5  # CLI flag wins over config file
-    assert config.seed == 1
+
+@pytest.mark.parametrize("line, named", [
+    ("shape=4xx", "'4xx'"),
+    ("gaussian=ture", "'ture'"),
+    ("foo=1", "foo"),
+    ("config=other.cfg", "'config'"),
+])
+def test_cli_bad_config_file_exits_2(tmp_path, capsys, line, named):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"m_list=4\n{line}\n")
+    argv = ["distortion", "--config", str(cfg_file), "--shape", "4x4", "--out", str(tmp_path / "d.csv")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_cli_config_file_negative_and_boolean_values(tmp_path):
+    cfg_file = tmp_path / "ls.cfg"
+    cfg_file.write_text("shape=4x4\nm_list=8\ntrials=1\nsnr_db=-3\ngaussian=no\n")
+    out = tmp_path / "ls.csv"
+    assert main(["ls", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+    cfg_file.write_text("shape=2x2\nm_list=4\ntrials=1\ngaussian=Yes\n")
+    assert main(["distortion", "--config", str(cfg_file), "--out", str(out)]) == 0
+    assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"fjlt", "gaussian"}
 
 
 def test_cli_error_exit_code(capsys):
     rc = main(["distortion", "--shape", "4x4", "--degrees", "3", "--m-list", "4"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    # the Monte Carlo tail checks need at least one draw
+    assert main(["concentration", "--shape", "4", "--trials", "0"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_verify(capsys):

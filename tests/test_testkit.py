@@ -185,6 +185,10 @@ def test_hoeffding_validation():
         hoeffding_tail_check(np.zeros(4), t=1.0)
     with pytest.raises(ValueError):
         hoeffding_tail_check(np.ones(4), t=0.0)
+    # sampling needs at least one draw; exact enumeration needs none
+    with pytest.raises(ValueError, match="trials must be >= 1.*got 0"):
+        hoeffding_tail_check(np.ones(20), t=1.0, trials=0)
+    assert hoeffding_tail_check(np.ones(4), t=1.0, trials=0).exact
 
 
 def test_hanson_wright_examples():
@@ -216,6 +220,9 @@ def test_hanson_wright_validation():
         hanson_wright_tail_check(np.eye(3), t=1.0)  # nonzero diagonal
     with pytest.raises(ValueError):
         hanson_wright_tail_check(np.zeros((2, 3)), t=1.0)
+    with pytest.raises(ValueError, match="trials must be >= 1.*got 0"):
+        hanson_wright_tail_check(np.zeros((16, 16)), t=1.0, trials=0)
+    assert hanson_wright_tail_check(np.zeros((3, 3)), t=1.0, trials=0).exact
 
 
 def test_block_norms_sparse_x_trivial():
