@@ -5,8 +5,8 @@ Subcommands: ``distortion``, ``timing``, ``ls``, ``cprand``,
 ``verify`` (runs the oracle/verification battery and sets the exit code).
 
 Flags may also be supplied through ``--config path`` pointing at a
-``key=value`` text file (keys are the long flag names, underscores or
-dashes). Each line becomes a ``--key=value`` flag parsed ahead of the command
+``key=value`` text file (keys are the long flag names in full, underscores
+or dashes). Each line becomes a ``--key=value`` flag parsed ahead of the command
 line, so a file value is checked exactly as its flag would be and explicit
 flags override it. Every default lives in ``ExperimentConfig``.
 """
@@ -53,9 +53,11 @@ def parse_m_grid(text: str) -> tuple[int, ...]:
     return tuple(range(start, stop + 1, step))
 
 
-def config_flags(path: str) -> list[str]:
+def config_flags(path: str, keys) -> list[str]:
     """The ``--key=value`` flags of a ``key=value`` config file; ``gaussian``
-    takes true/1/yes (the bare flag) or false/0/no (no flag)."""
+    takes true/1/yes (the bare flag) or false/0/no (no flag). Each key must be
+    one of ``keys`` exactly: argparse would take an abbreviation as the flag
+    it begins."""
     flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -66,8 +68,8 @@ def config_flags(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("_", "-")
-            if key == "config":
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if key != "gaussian":
                 flags.append(f"--{key}={value}")
             elif value.lower() in _TRUE:
@@ -77,23 +79,27 @@ def config_flags(path: str) -> list[str]:
     return flags
 
 
-def _add_experiment_flags(sub):
-    sub.add_argument("--shape", type=parse_shape, help="e.g. 125x125")
-    sub.add_argument("--degrees", type=parse_int_list, help="e.g. 1,2,3")
-    sub.add_argument("--m-grid", type=parse_m_grid, help="start:stop:step (stop inclusive)")
-    sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024 (wins over --m-grid)")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    for name, allowed in CHOICES.items():
-        sub.add_argument(f"--{name}", choices=allowed)
-    sub.add_argument("--gaussian", dest="include_gaussian", action="store_true",
-                     help="include the dense Gaussian baseline")
-    sub.add_argument("--rank", type=int)
-    sub.add_argument("--snr-db", type=float)
-    sub.add_argument("--sweeps", dest="max_sweeps", type=int, help="maximum ALS sweeps")
-    sub.add_argument("--fit-tol", type=float, help="fit-improvement stopping tolerance")
-    sub.add_argument("--out", help="output CSV path (default <kind>.csv)")
+def _add_experiment_flags(sub) -> set[str]:
+    """Add the experiment flags to ``sub``; returns the keys a config file may
+    set (every long flag but ``--config``, without its dashes)."""
+    actions = [
+        sub.add_argument("--shape", type=parse_shape, help="e.g. 125x125"),
+        sub.add_argument("--degrees", type=parse_int_list, help="e.g. 1,2,3"),
+        sub.add_argument("--m-grid", type=parse_m_grid, help="start:stop:step (stop inclusive)"),
+        sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024 (wins over --m-grid)"),
+        sub.add_argument("--trials", type=int),
+        sub.add_argument("--seed", type=int),
+        *(sub.add_argument(f"--{name}", choices=allowed) for name, allowed in CHOICES.items()),
+        sub.add_argument("--gaussian", dest="include_gaussian", action="store_true",
+                         help="include the dense Gaussian baseline"),
+        sub.add_argument("--rank", type=int),
+        sub.add_argument("--snr-db", type=float),
+        sub.add_argument("--sweeps", dest="max_sweeps", type=int, help="maximum ALS sweeps"),
+        sub.add_argument("--fit-tol", type=float, help="fit-improvement stopping tolerance"),
+        sub.add_argument("--out", help="output CSV path (default <kind>.csv)"),
+    ]
     sub.add_argument("--config", help="key=value file supplying defaults for these flags")
+    return {opt[2:] for action in actions for opt in action.option_strings}
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -115,8 +121,8 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
     # Flags not given stay out of the namespace, so the defaults are the callee's.
     quiet = {"argument_default": argparse.SUPPRESS}
-    for kind in KINDS:
-        _add_experiment_flags(subs.add_parser(kind, help=f"run the {kind} experiment", **quiet))
+    for kind in KINDS:  # every kind takes the same flags, so the same keys
+        keys = _add_experiment_flags(subs.add_parser(kind, help=f"run the {kind} experiment", **quiet))
     verify = subs.add_parser("verify", help="run the oracle/verification battery", **quiet)
     verify.add_argument("--seed", type=int)
 
@@ -132,7 +138,7 @@ def main(argv=None) -> int:
     try:
         if "config" in args:
             # argv[0] is the command; file flags go first, so given flags win
-            args = parser.parse_args([argv[0], *config_flags(args.config), *argv[1:]])
+            args = parser.parse_args([argv[0], *config_flags(args.config, keys), *argv[1:]])
         config = build_config(args)
         records = run_experiment(config)
         csv_path, summary_path = emit_csv(records, config.out)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import Shape, _check_cap, khatri_rao, khatri_rao_rows, multi_index_array
+from .kron import Shape, _check_cap, _check_finite, khatri_rao, khatri_rao_rows, multi_index_array
 from .sketch_ls import complexify, least_squares
 from .transforms import SignVector, as_seed_sequence, mix_factor, mix_modes, rademacher, seed_children
 
@@ -172,11 +172,8 @@ def fit(t: DenseTensor, model: CpModel) -> float:
     return 1.0 - float(_residual_norm(t, model)) / scale
 
 
-def _check_rank_and_init(t: DenseTensor, rank: int, init: CpModel | None):
-    finite = np.isfinite(t.data)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"tensor of shape {t.shape.dims} holds {t.data[i]} at linear index {i}")
+def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps: int):
+    _check_finite(t.data, f"tensor of shape {t.shape.dims}")
     if not np.any(t.data):
         raise ValueError(f"fit undefined for the zero tensor of shape {t.shape.dims}")
     if rank < 1:
@@ -185,6 +182,8 @@ def _check_rank_and_init(t: DenseTensor, rank: int, init: CpModel | None):
         raise ValueError(f"init has rank {init.rank}, but rank={rank}")
     if init is not None and init.shape != t.shape:
         raise ValueError(f"init has shape {init.shape.dims}, but the tensor has shape {t.shape.dims}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
 
 def cp_als_update_mode(t: DenseTensor, model: CpModel, mode: int) -> tuple[CpModel, bool]:
@@ -226,7 +225,7 @@ def cp_als(
     fit_tol: float = 1e-6,
 ) -> CpAlsResult:
     """Exact CP-ALS with a fit-improvement stopping rule."""
-    _check_rank_and_init(t, rank, init)
+    _check_cp_inputs(t, rank, init, max_sweeps)
     if init is None:
         rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
         init = random_model(t.shape, rank, rng)
@@ -332,7 +331,7 @@ def cprand_mix(
     with replacement, except that a mode whose full system has at most m rows
     is solved exactly (sampling every row once).
     """
-    _check_rank_and_init(t, rank, init)
+    _check_cp_inputs(t, rank, init, max_sweeps)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     ss = as_seed_sequence(seed)

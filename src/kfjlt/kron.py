@@ -34,6 +34,16 @@ def _check_cap(total, cap, what):
         )
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise a ValueError naming the first NaN or inf entry of ``arr``: its
+    linear index in a vector, its ``(row, column)`` in a matrix."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
+        where = f"linear index {at[0]}" if arr.ndim == 1 else f"index {at}"
+        raise ValueError(f"{what} holds {arr[at]} at {where}")
+
+
 @dataclass(frozen=True)
 class Shape:
     """Sizes ``(n_1, ..., n_d)`` of the constituent spaces of a product space."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kron import Shape, khatri_rao, khatri_rao_rows, _check_cap
+from .kron import Shape, khatri_rao, khatri_rao_rows, _check_cap, _check_finite
 from .transforms import KfjltOperator, kfjlt_apply_dense, mix_factor
 
 
@@ -42,6 +42,9 @@ class KrlsProblem:
         rhs = np.asarray(self.rhs, dtype=np.float64)
         if rhs.shape[0] != shape.total:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {shape.total}")
+        for k, a in enumerate(mats, start=1):
+            _check_finite(a, f"factor matrix A_{k}")
+        _check_finite(rhs, "rhs")
         object.__setattr__(self, "factor_matrices", mats)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "shape", shape)

@@ -7,9 +7,9 @@ constants, exact sign-pattern enumeration for concentration tails whenever
 
 One shortcut keeps the support enumeration exact: when the Gram deviation
 ``G = psi^T psi - I`` is circulant up to ±1 signs (checked, to a tolerance
-``1e-12 * max(1, max|G|) / (2 * order)``), every support has the spectrum of
-its cyclic shift containing column 0, so only those ``C(n-1, order-1)``
-supports are decomposed instead of all ``C(n, order)``. ``RipReport``
+``1e-12 * max(1, max|G|) / (2 * order)``), every cyclic shift of a support
+has the same spectrum, so one support per cyclic orbit (its necklace
+representative) is decomposed instead of all ``C(n, order)``. ``RipReport``
 records both counts: ``supports_checked`` (covered) and
 ``supports_enumerated`` (decomposed).
 """
@@ -83,6 +83,18 @@ def _circulant_up_to_signs(gram: np.ndarray, order: int) -> bool:
     return False
 
 
+def _is_least_rotation(gaps: np.ndarray) -> np.ndarray:
+    """Rows of ``gaps`` that are lexicographically no greater than any of
+    their cyclic rotations. Compared entrywise, not as base-n codes, which
+    overflow int64; a periodic row ties with some rotations and is kept."""
+    rows = np.arange(len(gaps))
+    keep = np.ones(len(gaps), dtype=bool)
+    for r in range(1, gaps.shape[1]):
+        d = np.roll(gaps, -r, axis=1) - gaps
+        keep &= d[rows, np.argmax(d != 0, axis=1)] >= 0
+    return keep
+
+
 def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
     """Smallest delta such that every ``order``-column Gram submatrix deviates
     from the identity by at most delta in spectral norm (exhaustive).
@@ -91,16 +103,18 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
     same restricted isometry behavior on real vectors.
 
     When ``G = psi^T psi - I`` is circulant up to a diagonal sign similarity
-    (as for a sign-flipped, row-subsampled DFT), every support has the
-    spectrum of its cyclic shift that contains column 0, so only those
-    ``C(n-1, order-1)`` supports are decomposed. The shortcut is taken only
-    when a sign walk makes ``G`` circulant to within ``1e-12 * max(1,
-    max|G|) / (2 * order)`` entrywise, which keeps the delta within ``1e-12
-    * max(1, max|G|)`` of full enumeration (Weyl); otherwise all
-    ``C(n, order)`` supports are decomposed. Either way ``supports_checked``
-    is ``C(n, order)``, the supports the delta covers, and the
-    ``max_supports`` budget is compared against it; ``supports_enumerated``
-    counts the sub-Grams actually decomposed.
+    (as for a sign-flipped, row-subsampled DFT), all cyclic shifts of a
+    support share one spectrum, so one support per cyclic orbit is
+    decomposed: the one that contains column 0 and whose gap sequence
+    ``(s_2 - s_1, ..., n - s_k)`` is the least of its cyclic rotations (a
+    fixed-density necklace; about ``C(n, order) / n`` of them). The
+    shortcut is taken only when a sign walk makes ``G`` circulant to within
+    ``1e-12 * max(1, max|G|) / (2 * order)`` entrywise, which keeps the
+    delta within ``1e-12 * max(1, max|G|)`` of full enumeration (Weyl);
+    otherwise all ``C(n, order)`` supports are decomposed. Either way
+    ``supports_checked`` is ``C(n, order)``, the supports the delta covers,
+    and the ``max_supports`` budget is compared against it;
+    ``supports_enumerated`` counts the sub-Grams actually decomposed.
     """
     psi = np.asarray(psi)
     if np.iscomplexobj(psi):
@@ -115,20 +129,32 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
             "use a smaller instance or raise max_supports"
         )
     gram = psi.T @ psi - np.eye(n)
-    if _circulant_up_to_signs(gram, order):
-        combos = ((0,) + c for c in itertools.combinations(range(1, n), order - 1))
-        enumerated = math.comb(n - 1, order - 1)
-    else:
+    circulant = _circulant_up_to_signs(gram, order)
+    if not circulant:
         combos = itertools.combinations(range(n), order)
-        enumerated = count
-    delta = 0.0
-    chunk_size = max(1, min(enumerated, 100_000))
+    elif order == 1:
+        combos = iter([(0,)])
+    else:
+        # A least rotation starts with its least gap a, and a <= n // order.
+        # Every later gap is >= a too, so c is drawn with a - 1 taken out of
+        # each gap and spread back out below.
+        combos = itertools.chain.from_iterable(
+            ((0, a) + c for c in itertools.combinations(range(a + 1, n - (order - 1) * (a - 1)), order - 2))
+            for a in range(1, n // order + 1)
+        )
+    delta, enumerated = 0.0, 0
     dtype = np.dtype((np.intp, (order,)))
     while True:
-        sup = np.fromiter(itertools.islice(combos, chunk_size), dtype=dtype, count=-1)
+        sup = np.fromiter(itertools.islice(combos, 100_000), dtype=dtype, count=-1)
         if sup.size == 0:
             break
         sup = sup.reshape(-1, order)
+        if circulant:
+            sup[:, 2:] += (sup[:, 1:2] - 1) * np.arange(1, order - 1)
+            sup = sup[_is_least_rotation(np.diff(sup, axis=1, append=n))]
+            if sup.size == 0:
+                continue
+        enumerated += len(sup)
         sub = gram[sup[:, :, None], sup[:, None, :]]
         delta = max(delta, float(np.abs(np.linalg.eigvalsh(sub)).max()))
     return RipReport(m, n, order, delta, count, enumerated)

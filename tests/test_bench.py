@@ -299,6 +299,8 @@ def test_cli_config_file_and_override(tmp_path):
     ("gaussian=ture", "'ture'"),
     ("foo=1", "foo"),
     ("config=other.cfg", "'config'"),
+    ("sweep=5", "'sweep'"),  # argparse alone would take it as --sweeps
+    ("conf=other.cfg", "'conf'"),  # and this as --config
 ])
 def test_cli_bad_config_file_exits_2(tmp_path, capsys, line, named):
     cfg_file = tmp_path / "bad.cfg"
@@ -308,6 +310,17 @@ def test_cli_bad_config_file_exits_2(tmp_path, capsys, line, named):
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_cli_abbreviations_and_sweeps_on_the_command_line(tmp_path, capsys):
+    out = tmp_path / "cp.csv"
+    argv = ["cprand", "--shape", "3x3", "--m-list", "4", "--trials", "1", "--rank", "1", "--out", str(out)]
+    # abbreviated flags stay accepted on the command line, only file keys are exact
+    assert main([*argv, "--sweep", "2"]) == 0
+    out.unlink()
+    assert main([*argv, "--sweeps", "0"]) == 2
+    assert "max_sweeps must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_negative_and_boolean_values(tmp_path):

@@ -364,6 +364,8 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cprand_mix(t, 3, 0), "m must be >= 1, got 0"),
         (lambda: cprand_mix(t, 0, 10), "rank must be >= 1, got 0"),
         (lambda: cp_als(t, 0), "rank must be >= 1, got 0"),
+        (lambda: cprand_mix(t, 3, 10, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
+        (lambda: cp_als(t, 3, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
         (lambda: cprand_mix(DenseTensor(shape, np.zeros(64)), 2, 10), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cp_als(DenseTensor(shape, np.zeros(64)), 2), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cprand_mix(DenseTensor(shape, nan), 2, 10), r"\(4, 4, 4\).* nan at linear index 17$"),

@@ -182,6 +182,22 @@ def test_dimension_mismatch_errors():
     factors = tuple(rng.standard_normal((n, 2)) for n in (4, 3))
     with pytest.raises(ValueError):
         KrlsProblem(factors, rng.standard_normal(10))  # wrong rhs length
-    op = KfjltOperator.from_seed(0, Shape((4, 4)), m=4)
+    op =KfjltOperator.from_seed(0, Shape((4, 4)), m=4)
     with pytest.raises(ValueError):
         sketch_khatri_rao(op, factors)
+
+
+def test_problem_rejects_nan_and_inf():
+    rng = np.random.default_rng(17)
+    factors = [rng.standard_normal((n, 2)) for n in (4, 3)]
+    rhs = rng.standard_normal(12)
+    rhs[7] = np.nan
+    with pytest.raises(ValueError, match="^rhs holds nan at linear index 7$"):
+        KrlsProblem(tuple(factors), rhs)
+    rhs = rng.standard_normal((12, 3))
+    rhs[5, 2] = np.inf
+    with pytest.raises(ValueError, match=r"^rhs holds inf at index \(5, 2\)$"):
+        KrlsProblem(tuple(factors), rhs)
+    factors[1][2, 0] = -np.inf
+    with pytest.raises(ValueError, match=r"^factor matrix A_2 holds -inf at index \(2, 0\)$"):
+        KrlsProblem(tuple(factors), rng.standard_normal(12))

@@ -91,6 +91,14 @@ def _signed_circulant_psi(n, rng, perturb=0.0):
     return np.linalg.cholesky(np.eye(n) + gram).T
 
 
+def _necklaces(n, k):
+    """Cyclic orbits of the k-subsets of n points (fixed-density necklaces):
+    ``(1/n) sum_{d | gcd(n, k)} phi(d) C(n/d, k/d)``."""
+    g = math.gcd(n, k)
+    phi = [sum(math.gcd(j, d) == 1 for j in range(1, d + 1)) for d in range(g + 1)]
+    return sum(phi[d] * math.comb(n // d, k // d) for d in range(1, g + 1) if g % d == 0) // n
+
+
 @pytest.mark.parametrize("n", [11, 12])
 @pytest.mark.parametrize("replacement", [True, False])
 def test_rip_shift_shortcut_matches_brute_force(n, replacement):
@@ -101,14 +109,37 @@ def test_rip_shift_shortcut_matches_brute_force(n, replacement):
         report = rip_constant(mat, order)
         assert abs(report.delta - ref) <= 1e-12
         assert report.supports_checked == math.comb(n, order)
-        assert report.supports_enumerated == math.comb(n - 1, order - 1)
+        assert report.supports_enumerated == _necklaces(n, order)
+
+
+@pytest.mark.parametrize("order, orbits", [(4, 43), (6, 80)])
+def test_rip_shift_shortcut_periodic_orbits(order, orbits):
+    # n = 12 shares a factor with each order, so some orbits are periodic,
+    # e.g. {0, 3, 6, 9} has 3 shifts, not 12; each orbit is decomposed once
+    psi = materialize_operator(FjltOperator.from_seed(12, 12, 7))
+    ref = _brute_force_rip(psi, order)
+    for mat in (psi, complexify(psi)):
+        report = rip_constant(mat, order)
+        assert abs(report.delta - ref) <= 1e-12
+        assert report.supports_checked == math.comb(12, order)
+        assert report.supports_enumerated == _necklaces(12, order) == orbits
+
+
+@pytest.mark.parametrize("order", [1, 2, 9])
+def test_rip_shift_shortcut_extreme_orders(order):
+    # order 1 is a single support {0}; order == n is the single full support
+    psi = materialize_operator(FjltOperator.from_seed(9, 9, 5))
+    for mat in (psi, complexify(psi)):
+        report = rip_constant(mat, order)
+        assert abs(report.delta - _brute_force_rip(mat, order)) <= 1e-12
+        assert report.supports_enumerated == _necklaces(9, order) == {1: 1, 2: 4, 9: 1}[order]
 
 
 def test_rip_shift_shortcut_on_signed_circulant_odd_n():
     # odd n with a negative first off-diagonal: only the sigma = -1 walk fits
     psi = _signed_circulant_psi(9, np.random.default_rng(3))
     report = rip_constant(psi, 3)
-    assert report.supports_enumerated == math.comb(8, 2)
+    assert report.supports_enumerated == _necklaces(9, 3)
     assert abs(report.delta - _brute_force_rip(psi, 3)) <= 1e-12
 
 
