@@ -35,7 +35,6 @@ from .sketch_ls import (
     SketchedLsResult,
     build_sketched_system,
     complexify,
-    exact_ls_solution,
     residual_ratio,
     sketch_khatri_rao,
     solve_sketched_ls,
@@ -49,14 +48,11 @@ from .cprand import (
     cprand_mix,
     cprand_mix_sweep,
     fit,
-    fold,
     khatri_rao_all_but,
-    load_tensor,
     mix_tensor,
     objective,
     random_model,
     reconstruct,
-    save_tensor,
     unfold,
 )
 from .testkit import (

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cprand as cp
-from .kron import KroneckerVector, Shape, khatri_rao, khatri_rao_rows, kron_materialize, kron_norm_sq
+from .kron import KroneckerVector, Shape, _check_cap, khatri_rao, khatri_rao_rows, kron_materialize, kron_norm_sq
 from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, solve_sketched_ls
 from .testkit import gaussian_jlt_apply, hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
@@ -314,6 +314,7 @@ def make_ls_problem(config: ExperimentConfig, trial: int) -> KrlsProblem:
     Gaussian factor matrices; ``b = A x* + noise`` with the noise norm set by
     the configured SNR (in dB) relative to ``||A x*||``.
     """
+    _check_cap(math.prod(config.shape) * config.rank, "materialized Khatri-Rao product")
     ss = trial_seed_sequence(config.seed, config.kind, "problem", 0, trial)
     rng = np.random.Generator(np.random.PCG64(ss))
     factors = tuple(rng.standard_normal((n, config.rank)) for n in config.shape)

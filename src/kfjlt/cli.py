@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from .bench import CHOICES, KINDS, ExperimentConfig, emit_csv, run_experiment
+from .kron import ResourceLimitError
 from .testkit import verify_suite
 
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
         config = build_config(args)
         records = run_experiment(config)
         csv_path, summary_path = emit_csv(records, config.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(records)} records to {csv_path} (summary: {summary_path})")

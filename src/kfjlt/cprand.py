@@ -45,11 +45,6 @@ class DenseTensor:
             raise ValueError(f"data must be flat with {self.shape.total} entries")
         object.__setattr__(self, "data", data)
 
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        arr = np.asarray(arr)
-        return cls(Shape(arr.shape), arr.reshape(-1, order="F"))
-
     def as_array(self) -> np.ndarray:
         return self.data.reshape(self.shape.dims, order="F")
 
@@ -109,18 +104,6 @@ def unfold(t: DenseTensor, mode: int) -> np.ndarray:
     return np.moveaxis(arr, mode - 1, 0).reshape(t.shape.dims[mode - 1], -1, order="F")
 
 
-def fold(mat, mode: int, shape: Shape) -> DenseTensor:
-    """Exact inverse of :func:`unfold`."""
-    _check_mode(shape, mode)
-    mat = np.asarray(mat)
-    nk = shape.dims[mode - 1]
-    rest = _rest_dims(shape, mode)
-    if mat.shape != (nk, math.prod(rest)):
-        raise ValueError(f"expected matrix of shape ({nk}, {math.prod(rest)}), got {mat.shape}")
-    arr = np.moveaxis(mat.reshape((nk,) + rest, order="F"), 0, mode - 1)
-    return DenseTensor(shape, arr.reshape(-1, order="F"))
-
-
 def khatri_rao_all_but(model: CpModel, mode: int) -> np.ndarray:
     """``Z_k``: Khatri-Rao product of every factor matrix except mode k."""
     _check_mode(model.shape, mode)
@@ -139,14 +122,14 @@ def _gather_unfolding_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     return view[multi_index_array(Shape(rest), rows)]
 
 
-def reconstruct(model: CpModel, cap: int | None = None) -> DenseTensor:
+def reconstruct(model: CpModel) -> DenseTensor:
     """Sum of rank-one outer products, as a dense tensor.
 
     Accumulates one rank-one term at a time, so the working set is about
     2N entries whatever the rank, and the cap bounds what is allocated.
     """
     shape = model.shape
-    _check_cap(shape.total, cap, "reconstructed tensor")
+    _check_cap(shape.total, "reconstructed tensor")
     data = np.zeros(shape.total)
     for r in range(model.rank):
         data += khatri_rao([a[:, r] for a in model.factors])
@@ -210,10 +193,33 @@ def cp_als_sweep(t: DenseTensor, model: CpModel) -> CpModel:
 class CpAlsResult:
     model: CpModel
     fits: list[float]
-    objectives: list[float]
     sweep_seconds: list[float]
     converged: bool
-    sweeps_run: int
+
+    @property
+    def sweeps_run(self) -> int:
+        return len(self.fits)
+
+
+def _als_loop(t: DenseTensor, init: CpModel, sweep, max_sweeps: int, fit_tol: float):
+    """The ALS loop of exact and sketched CP: time ``sweep(model)``, track
+    ``fit(t, model)``, and stop at the first sweep whose fit fails to beat the
+    previous one by ``fit_tol`` (the first sweep is compared against -inf).
+
+    Returns ``(model, fits, sweep_seconds, converged)``; ``converged`` is True
+    only when the stopping rule, not ``max_sweeps``, ended the run.
+    """
+    model, fits, seconds = init, [], []
+    prev_fit = -np.inf
+    for _ in range(max_sweeps):
+        t0 = time.perf_counter()
+        model = sweep(model)
+        seconds.append(time.perf_counter() - t0)
+        fits.append(fit(t, model))
+        if fits[-1] - prev_fit < fit_tol:
+            return model, fits, seconds, True
+        prev_fit = fits[-1]
+    return model, fits, seconds, False
 
 
 def cp_als(
@@ -229,24 +235,7 @@ def cp_als(
     if init is None:
         rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
         init = random_model(t.shape, rank, rng)
-    model = init
-    scale = t.norm()
-    fits, objectives, seconds = [], [], []
-    prev_fit = -np.inf
-    converged = False
-    for _ in range(max_sweeps):
-        t0 = time.perf_counter()
-        model = cp_als_sweep(t, model)
-        seconds.append(time.perf_counter() - t0)
-        residual = _residual_norm(t, model)
-        f = 1.0 - float(residual) / scale
-        fits.append(f)
-        objectives.append(float(residual**2))
-        if f - prev_fit < fit_tol:
-            converged = True
-            break
-        prev_fit = f
-    return CpAlsResult(model, fits, objectives, seconds, converged, len(fits))
+    return CpAlsResult(*_als_loop(t, init, lambda model: cp_als_sweep(t, model), max_sweeps, fit_tol))
 
 
 def mix_tensor(t: DenseTensor, sign_vectors) -> DenseTensor:
@@ -305,13 +294,8 @@ def cprand_mix_sweep(
 
 
 @dataclass
-class CprandMixResult:
-    model: CpModel
+class CprandMixResult(CpAlsResult):
     sign_vectors: tuple[SignVector, ...]
-    fits: list[float]
-    sweep_seconds: list[float]
-    converged: bool
-    sweeps_run: int
     degenerate_solves: int
 
 
@@ -344,63 +328,19 @@ def cprand_mix(
         init = random_model(t.shape, rank, np.random.Generator(np.random.PCG64(init_kid)))
     rows_rng = np.random.Generator(np.random.PCG64(rows_kid))
     mixed = mix_tensor(t, sign_vectors)
-
-    model = init
-    fits, seconds = [], []
+    sub_totals = [math.prod(_rest_dims(t.shape, mode)) for mode in range(1, t.shape.ndim + 1)]
     degenerate = 0
-    prev_fit = -np.inf
-    converged = False
-    for _ in range(max_sweeps):
-        rows_per_mode = []
-        for mode in range(1, t.shape.ndim + 1):
-            sub_total = math.prod(_rest_dims(t.shape, mode))
-            # A sketch larger than the full system buys nothing: take every
-            # row once instead of oversampling with replacement.
-            if m >= sub_total:
-                rows_per_mode.append(np.arange(sub_total))
-            else:
-                rows_per_mode.append(rows_rng.integers(0, sub_total, size=m))
-        t0 = time.perf_counter()
+
+    def sweep(model: CpModel) -> CpModel:
+        nonlocal degenerate
+        # A sketch larger than the full system buys nothing: take every row
+        # once instead of oversampling with replacement.
+        rows_per_mode = [
+            np.arange(sub) if m >= sub else rows_rng.integers(0, sub, size=m) for sub in sub_totals
+        ]
         model, deg = cprand_mix_sweep(mixed, model, sign_vectors, rows_per_mode)
-        seconds.append(time.perf_counter() - t0)
         degenerate += deg
-        f = fit(t, model)
-        fits.append(f)
-        if f - prev_fit < fit_tol:
-            converged = True
-            break
-        prev_fit = f
-    return CprandMixResult(model, sign_vectors, fits, seconds, converged, len(fits), degenerate)
+        return model
 
-
-def save_tensor(t: DenseTensor, path, binary: bool = False):
-    """Write a real tensor: one header line with the mode sizes, then the N
-    values in linear (mode-1-fastest) order; binary payloads are
-    little-endian 64-bit floats."""
-    if np.iscomplexobj(t.data):
-        raise ValueError("tensor files hold real tensors only")
-    header = "KTEN " + " ".join(str(n) for n in t.shape.dims)
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write((header + " binary\n").encode("ascii"))
-            fh.write(np.asarray(t.data, dtype="<f8").tobytes())
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + " text\n")
-            for v in t.data:
-                fh.write(repr(float(v)) + "\n")
-
-
-def load_tensor(path) -> DenseTensor:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if not header or header[0] != "KTEN" or header[-1] not in ("binary", "text"):
-            raise ValueError(f"{path}: not a tensor file")
-        shape = Shape(tuple(int(n) for n in header[1:-1]))
-        if header[-1] == "binary":
-            data = np.frombuffer(fh.read(8 * shape.total), dtype="<f8").astype(np.float64)
-        else:
-            data = np.array([float(line) for line in fh.read().split()], dtype=np.float64)
-    if data.size != shape.total:
-        raise ValueError(f"{path}: expected {shape.total} values, found {data.size}")
-    return DenseTensor(shape, data)
+    model, fits, seconds, converged = _als_loop(t, init, sweep, max_sweeps, fit_tol)
+    return CprandMixResult(model, fits, seconds, converged, sign_vectors, degenerate)

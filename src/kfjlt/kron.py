@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -25,12 +26,13 @@ class ResourceLimitError(RuntimeError):
     """A materialization or enumeration exceeded its configured budget."""
 
 
-def _check_cap(total, cap, what):
-    limit = DEFAULT_MATERIALIZE_CAP if cap is None else cap
-    if total > limit:
+def _check_cap(total, what):
+    """Refuse to allocate ``total`` entries above ``DEFAULT_MATERIALIZE_CAP``,
+    read at call time."""
+    if total > DEFAULT_MATERIALIZE_CAP:
         raise ResourceLimitError(
-            f"{what} of size {total} exceeds the cap {limit}; "
-            "use a smaller instance or raise the cap explicitly"
+            f"{what} of size {total} exceeds the cap {DEFAULT_MATERIALIZE_CAP}; "
+            "use a smaller instance"
         )
 
 
@@ -44,6 +46,17 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} holds {arr[at]} at {where}")
 
 
+def _as_dim(n) -> int:
+    """``n`` as an ``int``; floats, bools and other non-integers are refused
+    rather than truncated."""
+    if not isinstance(n, (bool, np.bool_)):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ValueError(f"dimension {n!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Shape:
     """Sizes ``(n_1, ..., n_d)`` of the constituent spaces of a product space."""
@@ -51,7 +64,7 @@ class Shape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(_as_dim(n) for n in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) < 1:
             raise ValueError("shape needs at least one dimension")
@@ -77,7 +90,11 @@ class KroneckerVector:
     shape: Shape = field(init=False)
 
     def __post_init__(self):
-        factors = tuple(np.asarray(f, dtype=np.float64) for f in self.factors)
+        factors = tuple(self.factors)
+        for k, f in enumerate(factors, start=1):
+            if np.iscomplexobj(f):
+                raise ValueError(f"factor x_{k} is complex; a Kronecker vector is real")
+        factors = tuple(np.asarray(f, dtype=np.float64) for f in factors)
         if any(f.ndim != 1 for f in factors):
             raise ValueError("every factor must be a 1-D real vector")
         object.__setattr__(self, "factors", factors)
@@ -93,12 +110,12 @@ def multi_index_array(shape: Shape, idx) -> tuple[np.ndarray, ...]:
     return np.unravel_index(idx, shape.dims, order="F")
 
 
-def kron_materialize(v: KroneckerVector, cap: int | None = None) -> np.ndarray:
+def kron_materialize(v: KroneckerVector) -> np.ndarray:
     """Dense length-N vector with entry ``i`` equal to ``prod_k x_k[i_k]``.
 
     Oracle-only path; guarded by the materialization cap.
     """
-    _check_cap(v.shape.total, cap, "materialized Kronecker vector")
+    _check_cap(v.shape.total, "materialized Kronecker vector")
     return khatri_rao(v.factors)
 
 

@@ -132,17 +132,6 @@ def solve_sketched_ls(problem: KrlsProblem, op: KfjltOperator) -> SketchedLsResu
     return SketchedLsResult(x, resid, rank, degenerate)
 
 
-def exact_ls_solution(problem: KrlsProblem, cap: int | None = None):
-    """Dense oracle: materialize A and solve exactly. Returns (x*, residual)."""
-    _check_cap(problem.shape.total * problem.ncols, cap, "materialized Khatri-Rao product")
-    return _dense_ls(khatri_rao(problem.factor_matrices), problem.rhs)
-
-
-def _dense_ls(a, b):
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return x, float(np.linalg.norm(a @ x - b))
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """``||A x_hat - b|| / min_x ||A x - b||``, or the absolute residual when
@@ -154,16 +143,18 @@ class ResidualReport:
     flagged_zero_residual: bool
 
 
-def residual_ratio(problem: KrlsProblem, x_hat, cap: int | None = None) -> ResidualReport:
-    a, exact = _exact_residual(problem, cap)
+def residual_ratio(problem: KrlsProblem, x_hat) -> ResidualReport:
+    a, exact = _exact_residual(problem)
     return _residual_report(a, problem.rhs, exact, x_hat)
 
 
-def _exact_residual(problem: KrlsProblem, cap: int | None = None) -> tuple[np.ndarray, float]:
-    """The materialized Khatri-Rao product and the exact minimum residual."""
-    _check_cap(problem.shape.total * problem.ncols, cap, "materialized Khatri-Rao product")
+def _exact_residual(problem: KrlsProblem) -> tuple[np.ndarray, float]:
+    """Dense oracle: the materialized Khatri-Rao product and the exact
+    minimum residual."""
+    _check_cap(problem.shape.total * problem.ncols, "materialized Khatri-Rao product")
     a = khatri_rao(problem.factor_matrices)
-    return a, _dense_ls(a, problem.rhs)[1]
+    x, _, _, _ = np.linalg.lstsq(a, problem.rhs, rcond=None)
+    return a, float(np.linalg.norm(a @ x - problem.rhs))
 
 
 def _residual_report(a, b, exact: float, x_hat) -> ResidualReport:

@@ -282,7 +282,7 @@ def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
     return abs(embedded_norm_sq - original_norm_sq) / original_norm_sq
 
 
-def materialize_operator(op, cap: int | None = None) -> np.ndarray:
+def materialize_operator(op) -> np.ndarray:
     """Dense ``m x N`` matrix of a sketching operator (oracle-only path).
 
     For a ``KfjltOperator`` only the m sampled rows are formed: row ``r``
@@ -290,7 +290,7 @@ def materialize_operator(op, cap: int | None = None) -> np.ndarray:
     working set is O(m N) and the cap bounds what is allocated.
     """
     if isinstance(op, KfjltOperator):
-        _check_cap(op.shape.total * op.m, cap, "materialized operator")
+        _check_cap(op.shape.total * op.m, "materialized operator")
         coords = multi_index_array(op.shape, op.rows)
         blocks = [
             (_dft_rows(n, c) * sv.signs).T
@@ -298,9 +298,9 @@ def materialize_operator(op, cap: int | None = None) -> np.ndarray:
         ]
         return op.scale * khatri_rao(blocks).T
     if isinstance(op, FactoredKfjltOperator):
-        _check_cap(op.shape.total * op.m, cap, "materialized operator")
-        full = materialize_operator(op.operators[0], cap)
+        _check_cap(op.shape.total * op.m, "materialized operator")
+        full = materialize_operator(op.operators[0])
         for fop in op.operators[1:]:
-            full = np.kron(materialize_operator(fop, cap), full)
+            full = np.kron(materialize_operator(fop), full)
         return full
     raise TypeError(f"cannot materialize {type(op).__name__}")

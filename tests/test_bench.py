@@ -152,9 +152,9 @@ def test_ls_runner_builds_each_problem_once(monkeypatch):
     import kfjlt.sketch_ls as sketch_ls
 
     built, kr_calls, solves = [], [], []
-    make, khatri_rao, dense_ls = bench.make_ls_problem, sketch_ls.khatri_rao, sketch_ls._dense_ls
+    make, khatri_rao, exact = bench.make_ls_problem, sketch_ls.khatri_rao, bench._exact_residual
     monkeypatch.setattr(bench, "make_ls_problem", lambda cfg, trial: built.append(trial) or make(cfg, trial))
-    monkeypatch.setattr(sketch_ls, "_dense_ls", lambda a, b: solves.append(1) or dense_ls(a, b))
+    monkeypatch.setattr(bench, "_exact_residual", lambda problem: solves.append(1) or exact(problem))
     cfg = ExperimentConfig(kind="ls", shape=(4, 4, 4), m_grid=(8, 32), trials=2, seed=7, rank=2)
     run_ls(cfg)
     assert built == [0, 1]
@@ -332,6 +332,25 @@ def test_cli_config_file_negative_and_boolean_values(tmp_path):
     cfg_file.write_text("shape=2x2\nm_list=4\ntrials=1\ngaussian=Yes\n")
     assert main(["distortion", "--config", str(cfg_file), "--out", str(out)]) == 0
     assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"fjlt", "gaussian"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ls", "--shape", "8x8", "--rank", "2"],  # 8 * 8 * 2 = 128 entries of A
+    ["cprand", "--shape", "5x5x5", "--rank", "1", "--sweeps", "2"],  # 125 entries
+], ids=["ls", "cprand"])
+def test_cli_cap_breach_exits_2_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 100)
+
+    def no_product(*args):
+        raise AssertionError("a dense product was formed before the cap check")
+
+    monkeypatch.setattr("kfjlt.bench.khatri_rao", no_product)
+    monkeypatch.setattr("kfjlt.cprand.khatri_rao", no_product)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--m-list", "4", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the cap 100" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_error_exit_code(capsys):

@@ -14,14 +14,11 @@ from kfjlt.cprand import (
     cprand_mix,
     cprand_mix_sweep,
     fit,
-    fold,
     khatri_rao_all_but,
-    load_tensor,
     mix_tensor,
     objective,
     random_model,
     reconstruct,
-    save_tensor,
     unfold,
 )
 from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
@@ -32,6 +29,21 @@ from kfjlt.transforms import KfjltOperator, materialize_operator, rademacher
 def tensor_from_range(dims):
     shape = Shape(dims)
     return DenseTensor(shape, np.arange(shape.total, dtype=np.float64))
+
+
+def fold(mat, mode, shape):
+    """Inverse of ``unfold``: the mode-k fibres back in place."""
+    rest = shape.dims[: mode - 1] + shape.dims[mode:]
+    arr = np.moveaxis(np.asarray(mat).reshape((shape.dims[mode - 1],) + rest, order="F"), 0, mode - 1)
+    return DenseTensor(shape, arr.reshape(-1, order="F"))
+
+
+# Exact and sketched CP share one ALS loop; m=8 samples fewer rows than any
+# mode's full system at shape (5, 4, 3).
+ALS_RUNS = {
+    "cp_als": lambda t, **kw: cp_als(t, 2, seed=0, **kw),
+    "cprand_mix": lambda t, **kw: cprand_mix(t, 2, m=8, seed=0, **kw),
+}
 
 
 def test_unfold_examples():
@@ -176,22 +188,40 @@ def test_fit_examples():
         fit(DenseTensor(shape, np.zeros(64)), truth)
 
 
-def test_cp_als_rebuilds_the_model_once_per_sweep(monkeypatch):
+@pytest.mark.parametrize("run", ALS_RUNS.values(), ids=ALS_RUNS.keys())
+def test_cp_als_rebuilds_the_model_once_per_sweep(monkeypatch, run):
     rng = np.random.default_rng(25)
     shape = Shape((5, 4, 3))
     t = DenseTensor(shape, rng.standard_normal(shape.total))
     calls = []
 
-    def counting_reconstruct(model, cap=None):
+    def counting_reconstruct(model):
         calls.append(model)
-        return reconstruct(model, cap)
+        return reconstruct(model)
 
     monkeypatch.setattr("kfjlt.cprand.reconstruct", counting_reconstruct)
-    result = cp_als(t, 2, seed=0, max_sweeps=10, fit_tol=0.0)
+    result = run(t, max_sweeps=10, fit_tol=0.0)
     assert result.sweeps_run >= 2
     assert len(calls) == result.sweeps_run
     assert result.fits[-1] == fit(t, result.model)
-    assert result.objectives[-1] == objective(t, result.model)
+
+
+@pytest.mark.parametrize("run", ALS_RUNS.values(), ids=ALS_RUNS.keys())
+def test_stop_rule_edges(run):
+    rng = np.random.default_rng(26)
+    shape = Shape((5, 4, 3))
+    t = DenseTensor(shape, rng.standard_normal(shape.total))
+    # the first sweep beats -inf by inf, so an infinite tolerance stops at the second
+    strict = run(t, max_sweeps=10, fit_tol=np.inf)
+    assert strict.sweeps_run == 2 and strict.converged
+    # ... unless max_sweeps ends the run first, which is not convergence
+    single = run(t, max_sweeps=1, fit_tol=np.inf)
+    assert single.sweeps_run == 1 and not single.converged
+    # no sweep can fail to beat the previous fit by -inf
+    endless = run(t, max_sweeps=4, fit_tol=-np.inf)
+    assert endless.sweeps_run == 4 and not endless.converged
+    for result in (strict, single, endless):
+        assert result.sweeps_run == len(result.fits) == len(result.sweep_seconds)
 
 
 def test_exact_als_reaches_high_fit():
@@ -319,27 +349,11 @@ def test_cprand_degenerate_flag():
     assert result.degenerate_solves > 0
 
 
-def test_tensor_io_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    shape = Shape((3, 2, 4))
-    t = DenseTensor(shape, rng.standard_normal(shape.total))
-    for binary in (False, True):
-        path = tmp_path / ("t.bin" if binary else "t.txt")
-        save_tensor(t, path, binary=binary)
-        back = load_tensor(path)
-        assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
-    with pytest.raises(ValueError):
-        load_tensor(__file__)
-
-
 def test_dense_tensor_validation():
     with pytest.raises(ValueError):
         DenseTensor(Shape((2, 3)), np.zeros(5))
-    arr = np.arange(6.0).reshape(2, 3)
-    t = DenseTensor.from_array(arr)
-    assert np.array_equal(t.as_array(), arr)
-    assert np.array_equal(t.data, [0, 3, 1, 4, 2, 5])
+    t = DenseTensor(Shape((2, 3)), np.array([0.0, 3.0, 1.0, 4.0, 2.0, 5.0]))
+    assert np.array_equal(t.as_array(), np.arange(6.0).reshape(2, 3))
 
 
 def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):

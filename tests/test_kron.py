@@ -26,6 +26,12 @@ def test_shape_validation():
         Shape((3, 0))
     with pytest.raises(ValueError):
         Shape((2**40, 2**40))  # product exceeds the addressable range
+    # sizes are integers: no truncation of floats, no bools standing in for 1
+    for bad, named in [(2.7, "2.7"), (True, "True"), (np.True_, "True"), (np.float64(3.0), "3.0")]:
+        with pytest.raises(ValueError, match=f"dimension .*{named}.* is not an integer"):
+            Shape((bad, 3))
+    dims = Shape((np.int64(3), np.int32(4))).dims
+    assert dims == (3, 4) and all(type(n) is int for n in dims)
 
 
 def test_multi_index_examples():
@@ -113,10 +119,20 @@ def test_kron_norm_sq_examples():
     assert kron_norm_sq(KroneckerVector(([0.0, 0.0], [3.0, 4.0]))) == 0.0
 
 
-def test_materialize_cap():
+def test_kronecker_vector_validation():
+    with pytest.raises(ValueError, match="1-D"):
+        KroneckerVector((np.ones(2), np.ones((2, 2))))
+    # a complex factor is refused, not silently cut to its real part
+    with pytest.raises(ValueError, match="factor x_2 is complex"):
+        KroneckerVector((np.ones(2), np.array([1.0, 1j]), np.ones(3)))
+
+
+def test_materialize_cap(monkeypatch):
     v = KroneckerVector((np.ones(64), np.ones(64)))
-    with pytest.raises(ResourceLimitError):
-        kron_materialize(v, cap=1000)
+    assert kron_materialize(v).size == 4096
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 1000)
+    with pytest.raises(ResourceLimitError, match="size 4096 exceeds the cap 1000"):
+        kron_materialize(v)
 
 
 def test_khatri_rao_examples():
