@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cprand as cp
-from .kron import KroneckerVector, Shape, _check_cap, khatri_rao, khatri_rao_rows, kron_materialize, kron_norm_sq
-from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, solve_sketched_ls
+from .kron import KroneckerVector, Shape, _as_dim, _check_cap, khatri_rao, kron_materialize, kron_norm_sq
+from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, sketch_khatri_rao, solve_sketched_ls
 from .testkit import gaussian_jlt_apply, hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
     FactoredKfjltOperator,
@@ -33,7 +33,6 @@ from .transforms import (
     factored_apply,
     kfjlt_apply_dense,
     kfjlt_apply_kron,
-    mix_factor,
     seed_children,
 )
 
@@ -70,16 +69,20 @@ class ExperimentConfig:
     out: str | None = None  # empty: "<kind>.csv"
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        object.__setattr__(self, "m_grid", tuple(int(m) for m in self.m_grid))
+        # Non-integers are refused, not truncated.
+        for name in ("shape", "degrees", "m_grid"):
+            object.__setattr__(self, name, tuple(_as_dim(n, name) for n in getattr(self, name)))
+        for name in ("trials", "seed", "rank", "max_sweeps"):
+            object.__setattr__(self, name, _as_dim(getattr(self, name), name))
         if not self.out:
             object.__setattr__(self, "out", f"{self.kind}.csv")
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         Shape(self.shape)  # validates
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise ValueError(f"trials must be >= 0, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for m in self.m_grid:
             if m < 1:
                 raise ValueError(f"every m must be >= 1, got m={m} in {self.m_grid}")
@@ -120,6 +123,17 @@ class TrialRecord:
     value: float
 
 
+def _adjacent_groups(count: int, degree: int) -> list[slice]:
+    """Split ``count`` factors into ``degree`` contiguous groups of equal length."""
+    if degree < 1 or count % degree != 0:
+        raise ValueError(
+            f"cannot view a {count}-factor shape at degree {degree}: "
+            f"{count} is not divisible into {degree} equal adjacent groups"
+        )
+    width = count // degree
+    return [slice(g * width, (g + 1) * width) for g in range(degree)]
+
+
 def group_dims(dims, degree: int) -> tuple[int, ...]:
     """View a D-factor shape at a coarser degree by merging adjacent factors.
 
@@ -128,26 +142,15 @@ def group_dims(dims, degree: int) -> tuple[int, ...]:
     only choice consistent with the mode-1-fastest linearization.
     """
     dims = tuple(dims)
-    if degree < 1 or len(dims) % degree != 0:
-        raise ValueError(
-            f"cannot view a {len(dims)}-factor shape at degree {degree}: "
-            f"{len(dims)} is not divisible into {degree} equal adjacent groups"
-        )
-    width = len(dims) // degree
-    return tuple(math.prod(dims[g * width : (g + 1) * width]) for g in range(degree))
+    return tuple(math.prod(dims[g]) for g in _adjacent_groups(len(dims), degree))
 
 
 def group_factors(factors, degree: int) -> KroneckerVector:
     """Merge adjacent factor vectors into ``degree`` materialized super-factors."""
-    factors = list(factors)
-    width = len(factors) // degree
-    if degree < 1 or width * degree != len(factors):
-        raise ValueError("factor count not divisible into equal adjacent groups")
-    merged = []
-    for g in range(degree):
-        chunk = factors[g * width : (g + 1) * width]
-        merged.append(kron_materialize(KroneckerVector(tuple(chunk))))
-    return KroneckerVector(tuple(merged))
+    factors = tuple(factors)
+    return KroneckerVector(tuple(
+        kron_materialize(KroneckerVector(factors[g])) for g in _adjacent_groups(len(factors), degree)
+    ))
 
 
 def trial_seed_sequence(master: int, kind: str, method_base: str, m: int, trial: int):
@@ -258,8 +261,7 @@ def _timed_kfjlt_pass(factor_stacks, op: KfjltOperator) -> int:
     """Embed a corpus the structured way: mix each factor, trace sampled
     indices back. Returns elapsed nanoseconds."""
     t0 = time.perf_counter_ns()
-    mixed = [mix_factor(fs.T, sv) for fs, sv in zip(factor_stacks, op.sign_vectors)]
-    _ = op.scale * khatri_rao_rows(mixed, op.rows)
+    _ = sketch_khatri_rao(op, [fs.T for fs in factor_stacks])
     return time.perf_counter_ns() - t0
 
 

@@ -33,6 +33,15 @@ def parse_shape(text: str) -> tuple[int, ...]:
     return dims
 
 
+def parse_seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad seed {text!r}; expected a non-negative integer")
+
+
 def parse_int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -89,7 +98,7 @@ def _add_experiment_flags(sub) -> set[str]:
         sub.add_argument("--m-grid", type=parse_m_grid, help="start:stop:step (stop inclusive)"),
         sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024 (wins over --m-grid)"),
         sub.add_argument("--trials", type=int),
-        sub.add_argument("--seed", type=int),
+        sub.add_argument("--seed", type=parse_seed),
         *(sub.add_argument(f"--{name}", choices=allowed) for name, allowed in CHOICES.items()),
         sub.add_argument("--gaussian", dest="include_gaussian", action="store_true",
                          help="include the dense Gaussian baseline"),
@@ -125,7 +134,7 @@ def main(argv=None) -> int:
     for kind in KINDS:  # every kind takes the same flags, so the same keys
         keys = _add_experiment_flags(subs.add_parser(kind, help=f"run the {kind} experiment", **quiet))
     verify = subs.add_parser("verify", help="run the oracle/verification battery", **quiet)
-    verify.add_argument("--seed", type=int)
+    verify.add_argument("--seed", type=parse_seed)
 
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)

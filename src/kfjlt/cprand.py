@@ -29,7 +29,7 @@ import numpy as np
 
 from .kron import Shape, _check_cap, _check_finite, khatri_rao, khatri_rao_rows, multi_index_array
 from .sketch_ls import complexify, least_squares
-from .transforms import SignVector, as_seed_sequence, mix_factor, mix_modes, rademacher, seed_children
+from .transforms import _draw_signs, as_seed_sequence, mix_factor, mix_modes, seed_children
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,6 @@ def cprand_mix_sweep(
 
 @dataclass
 class CprandMixResult(CpAlsResult):
-    sign_vectors: tuple[SignVector, ...]
     degenerate_solves: int
 
 
@@ -320,10 +319,7 @@ def cprand_mix(
         raise ValueError(f"m must be >= 1, got {m}")
     ss = as_seed_sequence(seed)
     sign_kid, init_kid, rows_kid = seed_children(ss, 3)
-    sign_vectors = tuple(
-        rademacher(n, np.random.Generator(np.random.PCG64(kid)))
-        for n, kid in zip(t.shape.dims, seed_children(sign_kid, t.shape.ndim))
-    )
+    sign_vectors = _draw_signs(seed_children(sign_kid, t.shape.ndim), t.shape.dims)
     if init is None:
         init = random_model(t.shape, rank, np.random.Generator(np.random.PCG64(init_kid)))
     rows_rng = np.random.Generator(np.random.PCG64(rows_kid))
@@ -343,4 +339,4 @@ def cprand_mix(
         return model
 
     model, fits, seconds, converged = _als_loop(t, init, sweep, max_sweeps, fit_tol)
-    return CprandMixResult(model, fits, seconds, converged, sign_vectors, degenerate)
+    return CprandMixResult(model, fits, seconds, converged, degenerate)

@@ -46,15 +46,15 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} holds {arr[at]} at {where}")
 
 
-def _as_dim(n) -> int:
+def _as_dim(n, what: str = "dimension") -> int:
     """``n`` as an ``int``; floats, bools and other non-integers are refused
-    rather than truncated."""
+    rather than truncated, in a message naming ``what``."""
     if not isinstance(n, (bool, np.bool_)):
         try:
             return operator.index(n)
         except TypeError:
             pass
-    raise ValueError(f"dimension {n!r} is not an integer")
+    raise ValueError(f"{what} {n!r} is not an integer")
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,7 @@ def sketch_khatri_rao(op: KfjltOperator, factor_matrices) -> np.ndarray:
 def complexify(z) -> np.ndarray:
     """Stack real parts over imaginary parts; preserves 2-norms exactly."""
     z = np.asarray(z)
-    if not np.iscomplexobj(z):
-        z = z.astype(np.complex128)
-    if z.ndim == 1:
-        return np.concatenate([z.real, z.imag])
-    return np.vstack([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], dtype=np.float64)
 
 
 def least_squares(a, b) -> tuple[np.ndarray, int, bool]:
@@ -113,7 +109,6 @@ def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> tuple[np.n
 @dataclass(frozen=True)
 class SketchedLsResult:
     solution: np.ndarray
-    sketched_residual: float
     rank: int
     degenerate: bool
 
@@ -127,9 +122,7 @@ def solve_sketched_ls(problem: KrlsProblem, op: KfjltOperator) -> SketchedLsResu
     ``degenerate=True``.
     """
     matrix, rhs = build_sketched_system(problem, op)
-    x, rank, degenerate = least_squares(matrix, rhs)
-    resid = float(np.linalg.norm(matrix @ x - rhs))
-    return SketchedLsResult(x, resid, rank, degenerate)
+    return SketchedLsResult(*least_squares(matrix, rhs))
 
 
 @dataclass(frozen=True)

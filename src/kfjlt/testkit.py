@@ -282,8 +282,8 @@ class BlockNormReport:
     x_norm: float
     y_norm: float
 
-    def checks(self, slack: float = 1e-12):
-        d = self.delta + slack
+    def checks(self):
+        d = self.delta + 1e-12
         xy = self.x_norm * self.y_norm
         s = self.block_size
         return [
@@ -306,8 +306,8 @@ def block_norm_bounds_check(
     s: int,
     b=None,
     d_signs=None,
-    delta: float | None = None,
-    max_supports: int = 200_000,
+    *,
+    delta: float,
 ) -> BlockNormReport:
     """Evaluate the four sorted-block norm bounds for a column-split matrix.
 
@@ -316,7 +316,7 @@ def block_norm_bounds_check(
     quantities: the off-block coupling matrix C (spectral and Frobenius
     norms), the first-block cross vector v, and the aligned-block scalar w.
     ``b`` (length s) and ``d_signs`` (length n) default to all ones.
-    ``delta`` defaults to the measured level of the stacked matrix.
+    ``delta`` is that level, e.g. ``rip_constant`` of the stacked matrix.
     """
     psi_l = np.asarray(psi_l)
     psi_r = np.asarray(psi_r)
@@ -335,8 +335,6 @@ def block_norm_bounds_check(
     d_signs = np.ones(n) if d_signs is None else np.asarray(d_signs, dtype=np.float64)
     if b.size != s or d_signs.size != n:
         raise ValueError("b must have length s and d_signs length n")
-    if delta is None:
-        delta = rip_constant(np.hstack([psi_l, psi_r]), 2 * s, max_supports).delta
 
     bx = _magnitude_blocks(x, s)
     by = _magnitude_blocks(y, s)

@@ -80,6 +80,12 @@ def rademacher(n: int, rng: np.random.Generator) -> SignVector:
     return SignVector(rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0)
 
 
+def _draw_signs(kids, dims) -> tuple[SignVector, ...]:
+    """One sign vector per factor, factor k drawn from its own sub-stream
+    ``kids[k]``."""
+    return tuple(rademacher(n, _generator(kid)) for n, kid in zip(dims, kids))
+
+
 def _dft_rows(n: int, rows) -> np.ndarray:
     """Rows ``rows`` of the unitary DFT in closed form,
     ``exp(-2 pi i (j l mod n) / n) / sqrt(n)``, independent of ``np.fft``."""
@@ -130,22 +136,20 @@ def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bo
     return rng.choice(n_total, size=m, replace=False)
 
 
-def _check_scale(scale: float, m: int, n_total: int):
-    if abs(scale * scale * m - n_total) > 1e-14 * n_total:
-        raise ValueError("scale must satisfy scale^2 * m == N")
-
-
 @dataclass(frozen=True)
 class KfjltOperator:
-    """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space."""
+    """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space: its sign
+    vectors and its m sampled rows; the scale follows from m and N."""
 
     shape: Shape
     sign_vectors: tuple[SignVector, ...]
     rows: np.ndarray
-    scale: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.intp)
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu" and rows.size:
+            raise ValueError(f"row indices must be integers, got {rows.dtype} array {rows}")
+        rows = rows.astype(np.intp, copy=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "sign_vectors", tuple(self.sign_vectors))
         if len(self.sign_vectors) != self.shape.ndim:
@@ -157,7 +161,6 @@ class KfjltOperator:
             raise ValueError("need at least one sampled row")
         if rows.min() < 0 or rows.max() >= self.shape.total:
             raise ValueError("row indices out of range")
-        _check_scale(self.scale, rows.size, self.shape.total)
 
     @property
     def degree(self) -> int:
@@ -167,35 +170,30 @@ class KfjltOperator:
     def m(self) -> int:
         return self.rows.size
 
+    @property
+    def scale(self) -> float:
+        return math.sqrt(self.shape.total / self.m)
+
     @classmethod
     def from_seed(cls, seed, shape: Shape, m: int, replacement: bool = True) -> "KfjltOperator":
-        d = shape.ndim
-        kids = seed_children(seed, d + 1)
-        svs = tuple(rademacher(n, _generator(kids[k])) for k, n in enumerate(shape.dims))
-        rows = _sample_rows(shape.total, m, _generator(kids[d]), replacement)
-        return cls(shape, svs, rows, math.sqrt(shape.total / m))
+        kids = seed_children(seed, shape.ndim + 1)
+        rows = _sample_rows(shape.total, m, _generator(kids[-1]), replacement)
+        return cls(shape, _draw_signs(kids, shape.dims), rows)
 
     @classmethod
     def exhaustive(cls, seed, shape: Shape) -> "KfjltOperator":
         """All N rows once each (scale 1): full unitary mixing, no sketching."""
-        d = shape.ndim
-        kids = seed_children(seed, d + 1)
-        svs = tuple(rademacher(n, _generator(kids[k])) for k, n in enumerate(shape.dims))
-        return cls(shape, svs, np.arange(shape.total), 1.0)
+        kids = seed_children(seed, shape.ndim + 1)
+        return cls(shape, _draw_signs(kids, shape.dims), np.arange(shape.total))
 
 
 class FjltOperator:
-    """Constructors of the FJLT ``sqrt(n/m) S F D_xi`` on vectors of length n:
+    """Constructor of the FJLT ``sqrt(n/m) S F D_xi`` on vectors of length n:
     the degree-1 ``KfjltOperator``."""
 
     @classmethod
     def from_seed(cls, seed, n: int, m: int, replacement: bool = True) -> KfjltOperator:
         return KfjltOperator.from_seed(seed, Shape((n,)), m, replacement)
-
-    @classmethod
-    def exhaustive(cls, seed, n: int) -> KfjltOperator:
-        """Every row sampled exactly once (scale 1); the map is unitary."""
-        return KfjltOperator.exhaustive(seed, Shape((n,)))
 
 
 def kfjlt_apply_kron(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
@@ -259,12 +257,10 @@ class FactoredKfjltOperator:
             raise ValueError("need one row count per factor")
         kids = seed_children(seed, d + 1)
         row_kids = seed_children(kids[d], d)
-        ops = []
-        for k, (n, mk) in enumerate(zip(shape.dims, ms)):
-            sv = rademacher(n, _generator(kids[k]))
-            rows = _sample_rows(n, mk, _generator(row_kids[k]), replacement)
-            ops.append(KfjltOperator(Shape((n,)), (sv,), rows, math.sqrt(n / mk)))
-        return cls(tuple(ops))
+        return cls(tuple(
+            KfjltOperator(Shape((n,)), (sv,), _sample_rows(n, mk, _generator(row_kid), replacement))
+            for n, mk, sv, row_kid in zip(shape.dims, ms, _draw_signs(kids, shape.dims), row_kids)
+        ))
 
 
 def factored_apply(op: FactoredKfjltOperator, v: KroneckerVector) -> np.ndarray:
@@ -285,22 +281,22 @@ def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
 def materialize_operator(op) -> np.ndarray:
     """Dense ``m x N`` matrix of a sketching operator (oracle-only path).
 
-    For a ``KfjltOperator`` only the m sampled rows are formed: row ``r``
-    is the Kronecker product over k of row ``r_k`` of ``F_k D_k``, so the
-    working set is O(m N) and the cap bounds what is allocated.
+    Only the m output rows are formed, each as the Kronecker product over k
+    of one row per factor, through ``khatri_rao``: row ``r_k`` of ``F_k D_k``
+    for a ``KfjltOperator``, row ``c_k`` of the k-th factor's materialized
+    sketch for a ``FactoredKfjltOperator`` (output row ``c`` split mode 1
+    fastest over the factor row counts). The working set is O(m N) and the
+    cap, checked before any block is formed, bounds what is allocated.
     """
+    if not isinstance(op, (KfjltOperator, FactoredKfjltOperator)):
+        raise TypeError(f"cannot materialize {type(op).__name__}")
+    _check_cap(op.shape.total * op.m, "materialized operator")
     if isinstance(op, KfjltOperator):
-        _check_cap(op.shape.total * op.m, "materialized operator")
         coords = multi_index_array(op.shape, op.rows)
         blocks = [
             (_dft_rows(n, c) * sv.signs).T
             for n, c, sv in zip(op.shape.dims, coords, op.sign_vectors)
         ]
         return op.scale * khatri_rao(blocks).T
-    if isinstance(op, FactoredKfjltOperator):
-        _check_cap(op.shape.total * op.m, "materialized operator")
-        full = materialize_operator(op.operators[0])
-        for fop in op.operators[1:]:
-            full = np.kron(materialize_operator(fop), full)
-        return full
-    raise TypeError(f"cannot materialize {type(op).__name__}")
+    coords = multi_index_array(Shape(tuple(f.m for f in op.operators)), np.arange(op.m))
+    return khatri_rao([materialize_operator(f)[c].T for f, c in zip(op.operators, coords)]).T

@@ -29,6 +29,9 @@ def test_group_dims():
     assert group_dims((3, 4, 5), 3) == (3, 4, 5)
     with pytest.raises(ValueError):
         group_dims((4,) * 6, 4)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match=f"at degree {degree}: 6 is not divisible"):
+            group_dims((4,) * 6, degree)
 
 
 def test_group_factors_preserves_vector():
@@ -39,6 +42,10 @@ def test_group_factors_preserves_vector():
         grouped = group_factors(factors, degree)
         assert grouped.shape.dims == group_dims((4,) * 6, degree)
         assert np.allclose(kron_materialize(grouped), full, rtol=1e-12)
+    # the degree is checked before it divides anything
+    for degree in (0, 4):
+        with pytest.raises(ValueError, match=f"6-factor shape at degree {degree}"):
+            group_factors(factors, degree)
 
 
 def test_factored_row_counts():
@@ -71,6 +78,32 @@ def test_config_validation():
             ExperimentConfig(kind="ls", shape=(4, 4), m_grid=(8,), snr_db=snr_db)
     with pytest.raises(ValueError, match="unknown dist 'normal'"):
         ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(4,), dist="normal")
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(4,), seed=-1)
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("shape", (4.7, 4), "shape 4.7"),
+    ("m_grid", (8.9,), "m_grid 8.9"),
+    ("degrees", (1.5,), "degrees 1.5"),
+    ("trials", 2.5, "trials 2.5"),
+    ("rank", 2.5, "rank 2.5"),
+    ("seed", 1.0, "seed 1.0"),
+    ("max_sweeps", 3.0, "max_sweeps 3.0"),
+    ("trials", True, "trials True"),
+    ("shape", (4, False), "shape False"),
+])
+def test_config_refuses_non_integer_settings(field, value, named):
+    settings = {"kind": "distortion", "shape": (4, 4), "m_grid": (8,), field: value}
+    with pytest.raises(ValueError, match=f"^{named} is not an integer$"):
+        ExperimentConfig(**settings)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = ExperimentConfig(kind="distortion", shape=np.array([4, 4]), m_grid=(np.int64(8),),
+                           trials=np.int32(3), seed=np.uint8(1))
+    assert cfg.shape == (4, 4) and cfg.m_grid == (8,) and (cfg.trials, cfg.seed) == (3, 1)
+    assert all(type(v) is int for v in (*cfg.shape, *cfg.m_grid, cfg.trials, cfg.seed))
 
 
 def _distortion_config(**kw):
@@ -365,6 +398,25 @@ def test_cli_error_exit_code(capsys):
 def test_cli_verify(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     assert "checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["distortion", "--shape", "2x2", "--m-list", "2", "--trials", "1"],
+], ids=["verify", "distortion"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_cli_bad_seed_exits_2_naming_it(tmp_path, capsys, argv, seed):
+    out = tmp_path / "d.csv"
+    assert _exit_code([*argv, "--seed", seed, *(["--out", str(out)] if len(argv) > 1 else [])]) == 2
+    err = capsys.readouterr().err
+    assert f"bad seed {seed!r}" in err and "Traceback" not in err
+    assert not out.exists()
+    # a config file goes through the same flag
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text(f"seed={seed}\n")
+    if len(argv) > 1:
+        assert _exit_code([*argv, "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert f"bad seed {seed!r}" in capsys.readouterr().err
 
 
 def test_ls_noiseless_reports_absolute_residual():

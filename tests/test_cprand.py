@@ -260,10 +260,9 @@ def test_mixed_unfolding_unmixes_to_sketched_rhs():
     mode = 2
     sub = Shape((3, 2))  # the modes other than 2
     rows = rng.integers(0, sub.total, size=5)
-    scale = float(np.sqrt(sub.total / rows.size))
-    op = KfjltOperator(
-        sub, tuple(s for j, s in enumerate(signs, 1) if j != mode), rows, scale
-    )
+    op = KfjltOperator(sub, tuple(s for j, s in enumerate(signs, 1) if j != mode), rows)
+    scale = op.scale
+    assert scale == float(np.sqrt(sub.total / rows.size))
     lhs = materialize_operator(op) @ unfold(t, mode).T
     sampled = unfold(mixed, mode).T[rows]
     rhs = scale * np.fft.ifft(sampled, axis=1, norm="ortho") * signs[mode - 1].signs[None, :]
@@ -302,7 +301,7 @@ def test_sketched_mode_solve_matches_sketch_ls():
         signs,
         [rows1, np.arange(3 * 2), np.arange(3 * 4)],
     )
-    op = KfjltOperator(sub, (signs[1], signs[2]), rows1, float(np.sqrt(sub.total / 6)))
+    op = KfjltOperator(sub, (signs[1], signs[2]), rows1)
     problem = KrlsProblem((init.factors[1], init.factors[2]), unfold(t, 1).T)
     result = solve_sketched_ls(problem, op)
     assert np.allclose(model.factors[0], result.solution.T, atol=1e-10)

@@ -272,7 +272,8 @@ def test_block_norms_sparse_x_trivial():
 def test_block_norms_orthonormal_stack_all_zero():
     # disjoint orthonormal column blocks: delta = 0 and all quantities vanish
     psi = np.eye(12)
-    rep = block_norm_bounds_check(psi[:, :6], psi[:, 6:], np.ones(6), np.ones(6), s=2)
+    delta = rip_constant(psi, 4).delta
+    rep = block_norm_bounds_check(psi[:, :6], psi[:, 6:], np.ones(6), np.ones(6), s=2, delta=delta)
     assert rep.delta <= 1e-12
     assert max(rep.c_spectral, rep.c_frobenius, rep.v_norm, rep.w_abs) <= 1e-12
     assert rep.passes
@@ -305,7 +306,9 @@ def test_block_sorting_tie_break_is_stable():
 
 def test_block_norms_validation():
     with pytest.raises(ValueError):
-        block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=5)
+        block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=5, delta=0.0)
+    with pytest.raises(TypeError, match="delta"):  # the RIP level is never guessed
+        block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=2)
 
 
 def test_gaussian_jlt():

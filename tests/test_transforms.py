@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfjlt.kron import KroneckerVector, Shape, kron_materialize, kron_norm_sq
+from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, kron_materialize, kron_norm_sq
 from kfjlt.testkit import dense_oracle_apply
 from kfjlt.transforms import (
     FactoredKfjltOperator,
@@ -104,7 +104,7 @@ def test_fjlt_matches_dense_oracle():
 
 def test_fjlt_exhaustive_is_isometric():
     rng = np.random.default_rng(3)
-    op = FjltOperator.exhaustive(9, 32)
+    op = KfjltOperator.exhaustive(9, Shape((32,)))
     assert op.scale == 1.0
     x = rng.standard_normal(32)
     out = fjlt_apply(op, x)
@@ -114,11 +114,25 @@ def test_fjlt_exhaustive_is_isometric():
 def test_operator_validation():
     sv = SignVector(np.ones(4))
     with pytest.raises(ValueError):
-        KfjltOperator(Shape((4,)), (sv,), np.array([0, 4]), math.sqrt(2))  # row out of range
+        KfjltOperator(Shape((4,)), (sv,), np.array([0, 4]))  # row out of range
     with pytest.raises(ValueError):
-        KfjltOperator(Shape((4,)), (sv,), np.array([0, 1]), 1.0)  # scale^2 * m != n
-    with pytest.raises(ValueError):
-        KfjltOperator(Shape((4, 4)), (sv,), np.array([0]), 4.0)  # missing signs
+        KfjltOperator(Shape((4, 4)), (sv,), np.array([0]))  # missing signs
+    # float rows are refused, not truncated to [0, 3]
+    with pytest.raises(ValueError, match=r"integers, got float64 array \[0.7 3.9\]"):
+        KfjltOperator(Shape((4,)), (sv,), np.array([0.7, 3.9]))
+    with pytest.raises(ValueError, match="integers"):
+        KfjltOperator(Shape((4,)), (sv,), np.array([True, False]))
+
+
+def test_scale_is_derived_from_m_and_n():
+    shape = Shape((3, 5, 2))
+    op = KfjltOperator.from_seed(4, shape, m=7)
+    assert op.scale == math.sqrt(30 / 7)
+    assert KfjltOperator.exhaustive(4, shape).scale == math.sqrt(30 / 30) == 1.0
+    direct = KfjltOperator(Shape((4,)), (SignVector(np.ones(4)),), [0, 3, 3])
+    assert direct.scale == math.sqrt(4 / 3)
+    fac = FactoredKfjltOperator.from_seed(4, shape, [2, 5, 1])
+    assert [f.scale for f in fac.operators] == [math.sqrt(3 / 2), 1.0, math.sqrt(2 / 1)]
 
 
 @pytest.mark.parametrize("dims", [(8,), (4, 4), (3, 4, 5), (2, 2, 2)])
@@ -209,7 +223,7 @@ def test_factored_identity_sampling_preserves_norm():
     ops = []
     seed = np.random.SeedSequence(21)
     for kid, n in zip(seed_children(seed, 2), shape.dims):
-        ops.append(FjltOperator.exhaustive(kid, n))
+        ops.append(KfjltOperator.exhaustive(kid, Shape((n,))))
     fac = FactoredKfjltOperator(tuple(ops))
     v = KroneckerVector(tuple(np.random.default_rng(12).standard_normal(n) for n in shape.dims))
     out = factored_apply(fac, v)
@@ -234,7 +248,7 @@ def test_distortion_ratio():
 
 def test_materialized_operator_small_cases():
     # degree 1, n=2, identity sampling, +1 signs: the 2-point unitary DFT
-    op = KfjltOperator(Shape((2,)), (SignVector(np.ones(2)),), np.array([0, 1]), 1.0)
+    op = KfjltOperator(Shape((2,)), (SignVector(np.ones(2)),), np.array([0, 1]))
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
     assert np.allclose(materialize_operator(op), expected, atol=1e-14)
 
@@ -267,6 +281,24 @@ def test_materialize_operator_allocates_only_sampled_rows(dims):
     assert peak <= 8 * dense.nbytes
     ref = kron_dft_rows_reference(op)
     assert np.linalg.norm(dense - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("kind", ["kfjlt", "factored"])
+def test_materialize_operator_checks_the_cap_before_any_block(monkeypatch, kind):
+    shape = Shape((4, 4, 4))
+    if kind == "kfjlt":
+        op = KfjltOperator.from_seed(2, shape, m=8)
+    else:
+        op = FactoredKfjltOperator.from_seed(2, shape, [2, 2, 2])
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 8 * 64 - 1)
+
+    def no_block(*args):
+        raise AssertionError("a block was formed before the cap check")
+
+    monkeypatch.setattr("kfjlt.transforms._dft_rows", no_block)
+    monkeypatch.setattr("kfjlt.transforms.khatri_rao", no_block)
+    with pytest.raises(ResourceLimitError, match="size 512 exceeds the cap 511"):
+        materialize_operator(op)
 
 
 def test_materialized_flatness():
