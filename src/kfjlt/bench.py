@@ -202,7 +202,7 @@ def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
             for trial in range(config.trials):
                 ss = trial_seed_sequence(config.seed, config.kind, base, m, trial)
                 op_ss, vec_ss = seed_children(ss, 2)
-                rng_v = np.random.Generator(np.random.PCG64(vec_ss))
+                rng_v = np.random.default_rng(vec_ss)
                 m_out = m
                 if config.structure == "kron":
                     base_factors = [_draw(rng_v, n, config.dist) for n in config.shape]
@@ -282,7 +282,7 @@ def run_timing(config: ExperimentConfig, repeats: int = 3) -> list[TrialRecord]:
     corpus = []
     for t in range(config.trials):
         ss = trial_seed_sequence(config.seed, config.kind, "corpus", 0, t)
-        rng = np.random.Generator(np.random.PCG64(ss))
+        rng = np.random.default_rng(ss)
         corpus.append([_draw(rng, n, config.dist) for n in shape.dims])
     stacks = [np.stack([c[k] for c in corpus]) for k in range(d)]
     replacement = config.replacement == "with"
@@ -318,7 +318,7 @@ def make_ls_problem(config: ExperimentConfig, trial: int) -> KrlsProblem:
     """
     _check_cap(math.prod(config.shape) * config.rank, "materialized Khatri-Rao product")
     ss = trial_seed_sequence(config.seed, config.kind, "problem", 0, trial)
-    rng = np.random.Generator(np.random.PCG64(ss))
+    rng = np.random.default_rng(ss)
     factors = tuple(rng.standard_normal((n, config.rank)) for n in config.shape)
     x_true = rng.standard_normal(config.rank)
     a = khatri_rao(factors)
@@ -366,10 +366,10 @@ def run_cprand(config: ExperimentConfig) -> list[TrialRecord]:
         for trial in range(config.trials):
             ss = trial_seed_sequence(config.seed, config.kind, "cprand", m, trial)
             truth_kid, init_kid, mix_kid = seed_children(ss, 3)
-            rng = np.random.Generator(np.random.PCG64(truth_kid))
+            rng = np.random.default_rng(truth_kid)
             truth = cp.random_model(shape, config.rank, rng)
             tensor = cp.reconstruct(truth)
-            init = cp.random_model(shape, config.rank, np.random.Generator(np.random.PCG64(init_kid)))
+            init = cp.random_model(shape, config.rank, np.random.default_rng(init_kid))
             seed_val = _seed_value(ss)
             als = cp.cp_als(tensor, config.rank, init=init, max_sweeps=config.max_sweeps, fit_tol=config.fit_tol)
             sketched = cp.cprand_mix(
@@ -392,7 +392,7 @@ def run_concentration(config: ExperimentConfig) -> list[TrialRecord]:
     case = 0
     for n in (10, 20, 64):
         ss = trial_seed_sequence(config.seed, config.kind, "hoeffding", n, case)
-        rng = np.random.Generator(np.random.PCG64(ss))
+        rng = np.random.default_rng(ss)
         x = rng.standard_normal(n)
         for tmul in (1.0, 2.0, 3.0):
             t = tmul * float(np.linalg.norm(x))
@@ -403,7 +403,7 @@ def run_concentration(config: ExperimentConfig) -> list[TrialRecord]:
             case += 1
     for n in (8, 10, 16):
         ss = trial_seed_sequence(config.seed, config.kind, "hanson-wright", n, case)
-        rng = np.random.Generator(np.random.PCG64(ss))
+        rng = np.random.default_rng(ss)
         mat = rng.standard_normal((n, n))
         mat = mat + mat.T
         np.fill_diagonal(mat, 0.0)

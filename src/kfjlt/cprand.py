@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import Shape, _check_cap, _check_finite, khatri_rao, khatri_rao_rows, multi_index_array
+from .kron import Shape, _as_dim, _check_cap, _check_finite, khatri_rao, khatri_rao_rows, multi_index_array
 from .sketch_ls import complexify, least_squares
-from .transforms import _draw_signs, as_seed_sequence, mix_factor, mix_modes, seed_children
+from .transforms import _draw_signs, mix_factor, mix_modes, seed_children
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,13 @@ def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps
     _check_finite(t.data, f"tensor of shape {t.shape.dims}")
     if not np.any(t.data):
         raise ValueError(f"fit undefined for the zero tensor of shape {t.shape.dims}")
-    if rank < 1:
+    if _as_dim(rank, "rank") < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if init is not None and init.rank != rank:
         raise ValueError(f"init has rank {init.rank}, but rank={rank}")
     if init is not None and init.shape != t.shape:
         raise ValueError(f"init has shape {init.shape.dims}, but the tensor has shape {t.shape.dims}")
-    if max_sweeps < 1:
+    if _as_dim(max_sweeps, "max_sweeps") < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
 
 
@@ -233,8 +233,7 @@ def cp_als(
     """Exact CP-ALS with a fit-improvement stopping rule."""
     _check_cp_inputs(t, rank, init, max_sweeps)
     if init is None:
-        rng = np.random.Generator(np.random.PCG64(as_seed_sequence(seed)))
-        init = random_model(t.shape, rank, rng)
+        init = random_model(t.shape, rank, np.random.default_rng(seed))
     return CpAlsResult(*_als_loop(t, init, lambda model: cp_als_sweep(t, model), max_sweeps, fit_tol))
 
 
@@ -315,14 +314,13 @@ def cprand_mix(
     is solved exactly (sampling every row once).
     """
     _check_cp_inputs(t, rank, init, max_sweeps)
-    if m < 1:
+    if _as_dim(m, "m") < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    ss = as_seed_sequence(seed)
-    sign_kid, init_kid, rows_kid = seed_children(ss, 3)
+    sign_kid, init_kid, rows_kid = seed_children(seed, 3)
     sign_vectors = _draw_signs(seed_children(sign_kid, t.shape.ndim), t.shape.dims)
     if init is None:
-        init = random_model(t.shape, rank, np.random.Generator(np.random.PCG64(init_kid)))
-    rows_rng = np.random.Generator(np.random.PCG64(rows_kid))
+        init = random_model(t.shape, rank, np.random.default_rng(init_kid))
+    rows_rng = np.random.default_rng(rows_kid)
     mixed = mix_tensor(t, sign_vectors)
     sub_totals = [math.prod(_rest_dims(t.shape, mode)) for mode in range(1, t.shape.ndim + 1)]
     degenerate = 0

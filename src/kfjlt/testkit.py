@@ -22,17 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import ResourceLimitError, Shape
+from .kron import ResourceLimitError, Shape, _check_cap
 from .sketch_ls import complexify
-from .transforms import SignVector, as_seed_sequence
+from .transforms import SignVector
 
 EXACT_ENUMERATION_LIMIT = 4096  # exact sign enumeration whenever 2^n <= this
-
-
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.Generator(np.random.PCG64(as_seed_sequence(seed_or_rng)))
 
 
 def dense_oracle_apply(matrix, x) -> np.ndarray:
@@ -205,7 +199,7 @@ def _tail_report(statistic, n: int, t: float, bound: float, trials: int, rng) ->
         return TailReport(t, freq, bound, 1 << n, 0.0, True)
     if trials < 1:
         raise ValueError(f"trials must be >= 1 to sample 2^{n} sign patterns, got {trials}")
-    signs = _rng(rng).integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
+    signs = np.random.default_rng(rng).integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
     freq = float(np.mean(statistic(signs) > t))
     radius = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
     return TailReport(t, freq, bound, trials, radius, False)
@@ -372,7 +366,8 @@ def gaussian_jlt_apply(seed, m: int, n: int, x) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (n,):
         raise ValueError(f"expected vector of length {n}")
-    gen = _rng(seed)
+    _check_cap(m * n, "dense Gaussian sketch")
+    gen = np.random.default_rng(seed)
     return gen.standard_normal((m, n)) / math.sqrt(m) @ x
 
 
@@ -401,8 +396,8 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
         if verbose:
             print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
 
-    ss = as_seed_sequence(seed)
-    gen = _rng(ss.spawn(1)[0])
+    ss = np.random.SeedSequence(seed)
+    gen = np.random.default_rng(ss.spawn(1)[0])
 
     # Fast paths against materialized operators.
     worst = 0.0

@@ -28,17 +28,12 @@ import numpy as np
 from .kron import (
     KroneckerVector,
     Shape,
+    _as_dim,
     _check_cap,
     khatri_rao,
     khatri_rao_rows,
     multi_index_array,
 )
-
-
-def as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def seed_children(seed, count: int) -> list[np.random.SeedSequence]:
@@ -47,16 +42,12 @@ def seed_children(seed, count: int) -> list[np.random.SeedSequence]:
     Unlike ``SeedSequence.spawn`` this never mutates the parent, so building
     two operators from the same seed object yields identical randomness.
     """
-    ss = as_seed_sequence(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key = tuple(ss.spawn_key)
     return [
         np.random.SeedSequence(entropy=ss.entropy, spawn_key=key + (k,))
         for k in range(count)
     ]
-
-
-def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ def rademacher(n: int, rng: np.random.Generator) -> SignVector:
 def _draw_signs(kids, dims) -> tuple[SignVector, ...]:
     """One sign vector per factor, factor k drawn from its own sub-stream
     ``kids[k]``."""
-    return tuple(rademacher(n, _generator(kid)) for n, kid in zip(dims, kids))
+    return tuple(rademacher(n, np.random.default_rng(kid)) for n, kid in zip(dims, kids))
 
 
 def _dft_rows(n: int, rows) -> np.ndarray:
@@ -127,7 +118,7 @@ def mix_factor(x, sv: SignVector) -> np.ndarray:
 
 
 def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bool) -> np.ndarray:
-    if m < 1:
+    if _as_dim(m, "m") < 1:
         raise ValueError("m must be >= 1")
     if replacement:
         return rng.integers(0, n_total, size=m)
@@ -154,7 +145,9 @@ class KfjltOperator:
         object.__setattr__(self, "sign_vectors", tuple(self.sign_vectors))
         if len(self.sign_vectors) != self.shape.ndim:
             raise ValueError("need one sign vector per factor")
-        for sv, n in zip(self.sign_vectors, self.shape.dims):
+        for k, (sv, n) in enumerate(zip(self.sign_vectors, self.shape.dims)):
+            if not isinstance(sv, SignVector):
+                raise TypeError(f"sign vector {k} is a {type(sv).__name__}, not a SignVector")
             if len(sv) != n:
                 raise ValueError("sign vector lengths must match the shape")
         if rows.ndim != 1 or rows.size < 1:
@@ -177,7 +170,7 @@ class KfjltOperator:
     @classmethod
     def from_seed(cls, seed, shape: Shape, m: int, replacement: bool = True) -> "KfjltOperator":
         kids = seed_children(seed, shape.ndim + 1)
-        rows = _sample_rows(shape.total, m, _generator(kids[-1]), replacement)
+        rows = _sample_rows(shape.total, m, np.random.default_rng(kids[-1]), replacement)
         return cls(shape, _draw_signs(kids, shape.dims), rows)
 
     @classmethod
@@ -258,7 +251,7 @@ class FactoredKfjltOperator:
         kids = seed_children(seed, d + 1)
         row_kids = seed_children(kids[d], d)
         return cls(tuple(
-            KfjltOperator(Shape((n,)), (sv,), _sample_rows(n, mk, _generator(row_kid), replacement))
+            KfjltOperator(Shape((n,)), (sv,), _sample_rows(n, mk, np.random.default_rng(row_kid), replacement))
             for n, mk, sv, row_kid in zip(shape.dims, ms, _draw_signs(kids, shape.dims), row_kids)
         ))
 

@@ -370,7 +370,8 @@ def test_cli_config_file_negative_and_boolean_values(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["ls", "--shape", "8x8", "--rank", "2"],  # 8 * 8 * 2 = 128 entries of A
     ["cprand", "--shape", "5x5x5", "--rank", "1", "--sweeps", "2"],  # 125 entries
-], ids=["ls", "cprand"])
+    ["distortion", "--shape", "4x8", "--gaussian"],  # a 32-entry vector, a 4 x 32 sketch
+], ids=["ls", "cprand", "gaussian"])
 def test_cli_cap_breach_exits_2_before_allocating(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 100)
 

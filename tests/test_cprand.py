@@ -379,6 +379,10 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cp_als(t, 0), "rank must be >= 1, got 0"),
         (lambda: cprand_mix(t, 3, 10, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
         (lambda: cp_als(t, 3, max_sweeps=0), "max_sweeps must be >= 1, got 0"),
+        (lambda: cp_als(t, 2.5), "^rank 2.5 is not an integer$"),
+        (lambda: cp_als(t, 2, max_sweeps=2.5), "^max_sweeps 2.5 is not an integer$"),
+        (lambda: cprand_mix(t, 2, 2.5), "^m 2.5 is not an integer$"),
+        (lambda: cprand_mix(t, True, 20), "^rank True is not an integer$"),
         (lambda: cprand_mix(DenseTensor(shape, np.zeros(64)), 2, 10), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cp_als(DenseTensor(shape, np.zeros(64)), 2), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cprand_mix(DenseTensor(shape, nan), 2, 10), r"\(4, 4, 4\).* nan at linear index 17$"),

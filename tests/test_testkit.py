@@ -327,6 +327,14 @@ def test_gaussian_jlt():
     assert abs(draws.var(ddof=1) - 1.0) <= 0.05
 
 
+def test_gaussian_jlt_checks_the_cap(monkeypatch):
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 4 * 6 - 1)
+    with pytest.raises(ResourceLimitError, match="dense Gaussian sketch of size 24 exceeds the cap 23"):
+        gaussian_jlt_apply(0, 4, 6, np.ones(6))
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 4 * 6)
+    assert gaussian_jlt_apply(0, 4, 6, np.ones(6)).shape == (4,)
+
+
 def test_verify_suite_all_pass():
     results = verify_suite(seed=0)
     assert results and all(r.passed for r in results)

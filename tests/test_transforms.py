@@ -122,6 +122,15 @@ def test_operator_validation():
         KfjltOperator(Shape((4,)), (sv,), np.array([0.7, 3.9]))
     with pytest.raises(ValueError, match="integers"):
         KfjltOperator(Shape((4,)), (sv,), np.array([True, False]))
+    # a bare array is refused at construction, not at the first apply
+    with pytest.raises(TypeError, match="sign vector 1 is a ndarray, not a SignVector"):
+        KfjltOperator(Shape((4, 4)), (sv, np.ones(4)), [0])
+    # float and bool row counts are refused, not handed to numpy
+    for m in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^m {m} is not an integer$"):
+            KfjltOperator.from_seed(0, Shape((4,)), m)
+    with pytest.raises(ValueError, match="^m 2.0 is not an integer$"):
+        FactoredKfjltOperator.from_seed(0, Shape((4, 4)), [2.0, 2])
 
 
 def test_scale_is_derived_from_m_and_n():
