@@ -9,6 +9,13 @@ stream splits once more into operator randomness and test-vector randomness;
 the sample-before variant shares the per-factor sign streams of its
 sample-after counterpart and differs only in the row sampling, and the
 kron/generic structures share operator randomness.
+
+The distortion study builds its method table once per config: one
+``(label, base, degree, sketch)`` per method, where ``base`` keys the seed
+streams and ``sketch(op_ss, v, m) -> (y, m_out)`` is ``_sample_after``,
+``_sample_before`` or ``_gaussian`` bound to what is fixed across trials.
+The Gaussian baseline is degree 1, so on Kronecker vectors it sketches the
+one materialized factor. Each trial draws one vector and makes one sketch call.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +48,8 @@ from .transforms import (
 # seed-stream id, so new kinds go at the end.
 KINDS = ("distortion", "timing", "ls", "cprand", "concentration")
 _KIND_IDS = {kind: i + 1 for i, kind in enumerate(KINDS)}
+# Measured passes per (method, m) in ``run_timing``, after one warm-up pass.
+TIMING_REPEATS = 3
 # Allowed values of the string settings, in the order the CLI lists them.
 CHOICES = {
     "dist": ("gaussian", "uniform01"),
@@ -176,72 +186,61 @@ def factored_row_counts(m: int, degree: int) -> list[int]:
     return [mk] * degree
 
 
+def _sample_after(shape: Shape, replacement: bool, apply, op_ss, v, m: int):
+    """KFJLT sketch: sign every factor, mix, then sample m rows."""
+    return apply(KfjltOperator.from_seed(op_ss, shape, m, replacement), v), m
+
+
+def _sample_before(shape: Shape, replacement: bool, op_ss, v, m: int):
+    """Sample-before-Kronecker sketch: one FJLT per factor, outputs Kronecker'd."""
+    op = FactoredKfjltOperator.from_seed(op_ss, shape, factored_row_counts(m, shape.ndim), replacement)
+    return factored_apply(op, v), op.m
+
+
+def _gaussian(dense, n: int, op_ss, v, m: int):
+    """Dense Gaussian baseline on the length-n materialized test vector."""
+    return gaussian_jlt_apply(op_ss, m, n, dense(v)), m
+
+
 def _distortion_methods(config: ExperimentConfig):
+    """``(label, base, degree, sketch)`` per method, with ``sketch(op_ss, v,
+    m) -> (y, m_out)`` bound to everything that is fixed across trials."""
+    kron = config.structure == "kron"
+    suffix = "" if kron else "-generic"
+    replacement = config.replacement == "with"
     methods = []
     for d in sorted(set(config.degrees)):
         base = "fjlt" if d == 1 else f"kfjlt-d{d}"
-        label = base
+        shape = Shape(group_dims(config.shape, d))
         if config.sampling == "before" and d > 1:
-            label += "-factored"
-        if config.structure == "generic":
-            label += "-generic"
-        methods.append((label, base, d))
+            methods.append((base + "-factored" + suffix, base, d, partial(_sample_before, shape, replacement)))
+        else:
+            apply = kfjlt_apply_kron if kron else kfjlt_apply_dense
+            methods.append((base + suffix, base, d, partial(_sample_after, shape, replacement, apply)))
     if config.include_gaussian:
-        label = "gaussian" + ("-generic" if config.structure == "generic" else "")
-        methods.append((label, "gaussian", 0))
+        dense = kron_materialize if kron else np.asarray
+        methods.append(("gaussian" + suffix, "gaussian", 1, partial(_gaussian, dense, math.prod(config.shape))))
     return methods
 
 
 def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
     """Distortion-vs-m study: fresh operator and fresh test vector per trial."""
     records = []
-    replacement = config.replacement == "with"
-    big_n = math.prod(config.shape)
-    for label, base, degree in _distortion_methods(config):
+    for label, base, degree, sketch in _distortion_methods(config):
         for m in config.m_grid:
             for trial in range(config.trials):
                 ss = trial_seed_sequence(config.seed, config.kind, base, m, trial)
                 op_ss, vec_ss = seed_children(ss, 2)
                 rng_v = np.random.default_rng(vec_ss)
-                m_out = m
                 if config.structure == "kron":
-                    base_factors = [_draw(rng_v, n, config.dist) for n in config.shape]
-                    if base == "gaussian":
-                        x = kron_materialize(KroneckerVector(tuple(base_factors)))
-                        y = gaussian_jlt_apply(op_ss, m, big_n, x)
-                        orig = float(x @ x)
-                    else:
-                        v = group_factors(base_factors, degree)
-                        gshape = v.shape
-                        if config.sampling == "before" and degree > 1:
-                            ms = factored_row_counts(m, degree)
-                            fop = FactoredKfjltOperator.from_seed(op_ss, gshape, ms, replacement)
-                            y = factored_apply(fop, v)
-                            m_out = fop.m
-                        else:
-                            op = KfjltOperator.from_seed(op_ss, gshape, m, replacement)
-                            y = kfjlt_apply_kron(op, v)
-                        orig = kron_norm_sq(v)
+                    v = group_factors([_draw(rng_v, n, config.dist) for n in config.shape], degree)
+                    orig = kron_norm_sq(v)
                 else:
-                    x = _draw(rng_v, big_n, config.dist)
-                    orig = float(x @ x)
-                    if base == "gaussian":
-                        y = gaussian_jlt_apply(op_ss, m, big_n, x)
-                    else:
-                        gshape = Shape(group_dims(config.shape, degree))
-                        op = KfjltOperator.from_seed(op_ss, gshape, m, replacement)
-                        y = kfjlt_apply_dense(op, x)
-                embedded = float(np.vdot(y, y).real)
-                records.append(
-                    TrialRecord(
-                        config.experiment_id,
-                        label,
-                        m_out,
-                        trial,
-                        _seed_value(ss),
-                        distortion_ratio(embedded, orig),
-                    )
-                )
+                    v = _draw(rng_v, math.prod(config.shape), config.dist)
+                    orig = float(v @ v)
+                y, m_out = sketch(op_ss, v, m)
+                ratio = distortion_ratio(float(np.vdot(y, y).real), orig)
+                records.append(TrialRecord(config.experiment_id, label, m_out, trial, _seed_value(ss), ratio))
     return records
 
 
@@ -265,12 +264,12 @@ def _timed_kfjlt_pass(factor_stacks, op: KfjltOperator) -> int:
     return time.perf_counter_ns() - t0
 
 
-def run_timing(config: ExperimentConfig, repeats: int = 3) -> list[TrialRecord]:
+def run_timing(config: ExperimentConfig) -> list[TrialRecord]:
     """Wall time to embed the whole corpus of ``trials`` Kronecker vectors.
 
     The corpus is embedded as one vectorized pass per method (the flat path
     forms each full vector inside the timed region; the structured path never
-    does). A warm-up pass is excluded and ``repeats`` measured passes are
+    does). A warm-up pass is excluded and ``TIMING_REPEATS`` measured passes are
     recorded so the median is available downstream.
     """
     shape = Shape(config.shape)
@@ -296,7 +295,7 @@ def run_timing(config: ExperimentConfig, repeats: int = 3) -> list[TrialRecord]:
         )
         for method, runner in passes:
             runner()  # warm-up, not recorded
-            for rep in range(repeats):
+            for rep in range(TIMING_REPEATS):
                 records.append(
                     TrialRecord(
                         config.experiment_id,

@@ -83,11 +83,12 @@ class CpModel:
 
 def random_model(shape: Shape, rank: int, rng: np.random.Generator) -> CpModel:
     """Factor matrices with i.i.d. standard normal entries."""
+    rank = _as_dim(rank, "rank")
     return CpModel(tuple(rng.standard_normal((n, rank)) for n in shape.dims))
 
 
 def _check_mode(shape: Shape, mode: int):
-    if not 1 <= mode <= shape.ndim:
+    if not 1 <= _as_dim(mode, "mode") <= shape.ndim:
         raise ValueError(f"mode {mode} out of range 1..{shape.ndim}")
 
 
@@ -155,7 +156,7 @@ def fit(t: DenseTensor, model: CpModel) -> float:
     return 1.0 - float(_residual_norm(t, model)) / scale
 
 
-def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps: int):
+def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps: int, fit_tol: float):
     _check_finite(t.data, f"tensor of shape {t.shape.dims}")
     if not np.any(t.data):
         raise ValueError(f"fit undefined for the zero tensor of shape {t.shape.dims}")
@@ -167,6 +168,8 @@ def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps
         raise ValueError(f"init has shape {init.shape.dims}, but the tensor has shape {t.shape.dims}")
     if _as_dim(max_sweeps, "max_sweeps") < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if math.isnan(fit_tol):
+        raise ValueError(f"fit_tol must not be NaN, got {fit_tol}")
 
 
 def cp_als_update_mode(t: DenseTensor, model: CpModel, mode: int) -> tuple[CpModel, bool]:
@@ -231,7 +234,7 @@ def cp_als(
     fit_tol: float = 1e-6,
 ) -> CpAlsResult:
     """Exact CP-ALS with a fit-improvement stopping rule."""
-    _check_cp_inputs(t, rank, init, max_sweeps)
+    _check_cp_inputs(t, rank, init, max_sweeps, fit_tol)
     if init is None:
         init = random_model(t.shape, rank, np.random.default_rng(seed))
     return CpAlsResult(*_als_loop(t, init, lambda model: cp_als_sweep(t, model), max_sweeps, fit_tol))
@@ -313,7 +316,7 @@ def cprand_mix(
     with replacement, except that a mode whose full system has at most m rows
     is solved exactly (sampling every row once).
     """
-    _check_cp_inputs(t, rank, init, max_sweeps)
+    _check_cp_inputs(t, rank, init, max_sweeps, fit_tol)
     if _as_dim(m, "m") < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     sign_kid, init_kid, rows_kid = seed_children(seed, 3)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import ResourceLimitError, Shape, _check_cap
+from .kron import ResourceLimitError, Shape, _as_dim, _check_cap, _check_finite
 from .sketch_ls import complexify
 from .transforms import SignVector
 
@@ -111,10 +111,11 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
     ``supports_enumerated`` counts the sub-Grams actually decomposed.
     """
     psi = np.asarray(psi)
+    _check_finite(psi, "psi")
     if np.iscomplexobj(psi):
         psi = complexify(psi)
     m, n = psi.shape
-    if not 1 <= order <= n:
+    if not 1 <= _as_dim(order, "order") <= n:
         raise ValueError(f"order {order} out of range 1..{n}")
     count = math.comb(n, order)
     if count > max_supports:
@@ -194,6 +195,7 @@ class TailReport:
 def _tail_report(statistic, n: int, t: float, bound: float, trials: int, rng) -> TailReport:
     """Frequency of ``statistic(signs) > t`` over the rows of a sign-pattern
     matrix: all 2^n patterns when feasible, else ``trials`` Monte Carlo draws."""
+    _as_dim(trials, "trials")
     if (1 << n) <= EXACT_ENUMERATION_LIMIT:
         freq = float(np.mean(statistic(_all_sign_patterns(n)) > t))
         return TailReport(t, freq, bound, 1 << n, 0.0, True)
@@ -323,7 +325,7 @@ def block_norm_bounds_check(
     y = np.asarray(y, dtype=np.float64)
     if x.size != n or y.size != n:
         raise ValueError("x and y must have one entry per column")
-    if not 1 <= s <= n:
+    if not 1 <= _as_dim(s, "block size s") <= n:
         raise ValueError(f"block size {s} out of range 1..{n}")
     b = np.ones(s) if b is None else np.asarray(b, dtype=np.float64)
     d_signs = np.ones(n) if d_signs is None else np.asarray(d_signs, dtype=np.float64)
@@ -361,7 +363,7 @@ def block_norm_bounds_check(
 
 def gaussian_jlt_apply(seed, m: int, n: int, x) -> np.ndarray:
     """Dense Gaussian sketch with i.i.d. N(0, 1/m) entries (baseline)."""
-    if m < 1 or n < 1:
+    if _as_dim(m, "m") < 1 or _as_dim(n, "n") < 1:
         raise ValueError("m and n must be >= 1")
     x = np.asarray(x)
     if x.shape != (n,):
@@ -369,6 +371,12 @@ def gaussian_jlt_apply(seed, m: int, n: int, x) -> np.ndarray:
     _check_cap(m * n, "dense Gaussian sketch")
     gen = np.random.default_rng(seed)
     return gen.standard_normal((m, n)) / math.sqrt(m) @ x
+
+
+def _worse(worst: float, err: float) -> float:
+    """The larger error, NaN if either is NaN: ``max`` would drop a NaN
+    ``err`` and let a broken fast path pass its check."""
+    return float(np.maximum(worst, err))
 
 
 @dataclass(frozen=True)
@@ -410,15 +418,15 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
             xd = kron_materialize(v)
             ref = dense_oracle_apply(dense, xd)
             for got in (transforms.kfjlt_apply_kron(op, v), transforms.kfjlt_apply_dense(op, xd)):
-                worst = max(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
+                worst = _worse(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
             a_mats = [gen.standard_normal((n, 3)) for n in dims]
             got = sketch_ls.sketch_khatri_rao(op, a_mats)
             ref_kr = dense @ khatri_rao(a_mats)
-            worst = max(worst, float(np.linalg.norm(got - ref_kr) / np.linalg.norm(ref_kr)))
+            worst = _worse(worst, float(np.linalg.norm(got - ref_kr) / np.linalg.norm(ref_kr)))
             fac = transforms.FactoredKfjltOperator.from_seed(ss.spawn(1)[0], shape, [2] * len(dims))
             got = transforms.factored_apply(fac, v)
             ref_f = dense_oracle_apply(transforms.materialize_operator(fac), xd)
-            worst = max(worst, float(np.linalg.norm(got - ref_f) / np.linalg.norm(ref_f)))
+            worst = _worse(worst, float(np.linalg.norm(got - ref_f) / np.linalg.norm(ref_f)))
     record("oracle-equivalence", worst <= 1e-10, f"max rel err {worst:.2e}")
 
     # Mixing preserves norms; full sampling embeds isometrically.
@@ -427,7 +435,7 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
         v = KroneckerVector(tuple(gen.standard_normal(n) for n in (4, 5)))
         op = transforms.KfjltOperator.exhaustive(ss.spawn(1)[0], v.shape)
         out = transforms.kfjlt_apply_kron(op, v)
-        worst = max(worst, abs(float(np.vdot(out, out).real) - kron_norm_sq(v)) / kron_norm_sq(v))
+        worst = _worse(worst, abs(float(np.vdot(out, out).real) - kron_norm_sq(v)) / kron_norm_sq(v))
     record("mixing-unitarity", worst <= 1e-12, f"max rel err {worst:.2e}")
 
     # The FJLT (degree-1 operator) against the dense DFT matrix.
@@ -454,7 +462,7 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
         zeta = transforms.rademacher(12, gen)
         lhs = distortion_quadratic_form(psi, xq, zeta)
         direct = float(np.linalg.norm(psi @ (zeta.signs * xq)) ** 2 - xq @ xq)
-        worst = max(worst, abs(lhs - direct) / max(1.0, abs(direct)))
+        worst = _worse(worst, abs(lhs - direct) / max(1.0, abs(direct)))
     record("quadratic-form-identity", worst <= 1e-10, f"max rel err {worst:.2e}")
 
     # Concentration tails, exact enumeration.

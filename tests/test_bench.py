@@ -213,8 +213,8 @@ def test_cprand_runner():
 
 def test_timing_runner():
     cfg = ExperimentConfig(kind="timing", shape=(8, 8), m_grid=(4, 8), trials=20, seed=1)
-    records = run_timing(cfg, repeats=2)
-    assert len(records) == 2 * 2 * 2
+    records = run_timing(cfg)
+    assert len(records) == 2 * 2 * 3  # m values x methods x TIMING_REPEATS
     assert all(r.value > 0 for r in records)
     cfg0 = ExperimentConfig(kind="timing", shape=(8, 8), m_grid=(4,), trials=0, seed=1)
     assert run_timing(cfg0) == []

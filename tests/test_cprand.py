@@ -55,6 +55,8 @@ def test_unfold_examples():
     assert np.array_equal(unfold(t, 3), [[0, 1, 2, 3], [4, 5, 6, 7]])
     with pytest.raises(ValueError):
         unfold(t, 4)
+    with pytest.raises(ValueError, match="^mode 1.0 is not an integer$"):
+        unfold(t, 1.0)
 
 
 def test_fold_round_trip():
@@ -383,6 +385,9 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cp_als(t, 2, max_sweeps=2.5), "^max_sweeps 2.5 is not an integer$"),
         (lambda: cprand_mix(t, 2, 2.5), "^m 2.5 is not an integer$"),
         (lambda: cprand_mix(t, True, 20), "^rank True is not an integer$"),
+        (lambda: random_model(Shape((3, 3)), 2.5, rng), "^rank 2.5 is not an integer$"),
+        (lambda: cp_als(t, 2, fit_tol=np.nan), "^fit_tol must not be NaN, got nan$"),
+        (lambda: cprand_mix(t, 2, 10, fit_tol=np.nan), "^fit_tol must not be NaN, got nan$"),
         (lambda: cprand_mix(DenseTensor(shape, np.zeros(64)), 2, 10), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cp_als(DenseTensor(shape, np.zeros(64)), 2), r"zero tensor of shape \(4, 4, 4\)"),
         (lambda: cprand_mix(DenseTensor(shape, nan), 2, 10), r"\(4, 4, 4\).* nan at linear index 17$"),

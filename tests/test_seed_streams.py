@@ -9,6 +9,7 @@ experiment's output changed.
 import numpy as np
 import pytest
 
+from kfjlt.bench import ExperimentConfig, run_distortion
 from kfjlt.cprand import cp_als, cprand_mix, random_model, reconstruct
 from kfjlt.kron import Shape
 from kfjlt.testkit import hoeffding_tail_check
@@ -45,3 +46,37 @@ def test_monte_carlo_tail_frequency_is_pinned():
     rep = hoeffding_tail_check(x, 2.0, trials=500, rng=3)
     assert not rep.exact
     assert rep.frequency == 0.438
+
+
+# (settings, [(method, m, trial, seed, value), ...]); recorded while
+# run_distortion still built each trial's sketch inside a four-way branch.
+_DISTORTION_PINS = [
+    (dict(degrees=(1, 2), include_gaussian=True), [
+        ("fjlt", 4, 0, 5791537622970415935, 0.7708005220864199),
+        ("fjlt", 4, 1, 14113531247800191899, 0.04854181677387786),
+        ("kfjlt-d2", 4, 0, 16082644311582765730, 0.7306009167727161),
+        ("kfjlt-d2", 4, 1, 7916591249666585404, 0.8363970617587535),
+        ("gaussian", 4, 0, 10373891415002915990, 0.5175457289328871),
+        ("gaussian", 4, 1, 16542760774901061143, 0.6332008209150314),
+    ]),
+    (dict(degrees=(1, 2), include_gaussian=True, structure="generic", replacement="without"), [
+        ("fjlt-generic", 4, 0, 5791537622970415935, 0.43052706554309444),
+        ("fjlt-generic", 4, 1, 14113531247800191899, 0.04932233837998466),
+        ("kfjlt-d2-generic", 4, 0, 16082644311582765730, 0.07749813530650879),
+        ("kfjlt-d2-generic", 4, 1, 7916591249666585404, 0.5395140388809053),
+        ("gaussian-generic", 4, 0, 10373891415002915990, 0.40086074977725916),
+        ("gaussian-generic", 4, 1, 16542760774901061143, 0.393101128675181),
+    ]),
+    (dict(degrees=(2,), sampling="before", dist="uniform01"), [
+        ("kfjlt-d2-factored", 4, 0, 16082644311582765730, 0.9003433653483162),
+        ("kfjlt-d2-factored", 4, 1, 7916591249666585404, 0.5648069958182573),
+    ]),
+]
+
+
+@pytest.mark.parametrize("settings, expected", _DISTORTION_PINS)
+def test_distortion_values_are_pinned(settings, expected):
+    config = ExperimentConfig("distortion", (2, 2, 2, 2), m_grid=(4,), trials=2, seed=301, **settings)
+    records = run_distortion(config)
+    assert [(r.method, r.m, r.trial, r.seed) for r in records] == [e[:4] for e in expected]
+    assert [r.value for r in records] == pytest.approx([e[4] for e in expected], rel=1e-9)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from kfjlt import sketch_ls, transforms
+from kfjlt.cli import main
 from kfjlt.kron import ResourceLimitError, Shape
 from kfjlt.sketch_ls import complexify
 from kfjlt.testkit import (
@@ -45,6 +47,14 @@ def test_rip_constant_complex_and_budget():
     assert 0 < report.delta < 1
     with pytest.raises(ResourceLimitError):
         rip_constant(psi, 8, max_supports=1000)
+    with pytest.raises(ValueError, match="^order 2.5 is not an integer$"):
+        rip_constant(psi, 2.5)
+    with pytest.raises(ValueError, match="^order True is not an integer$"):
+        rip_constant(psi, True)
+    nan = np.eye(6)
+    nan[2, 4] = np.nan
+    with pytest.raises(ValueError, match=r"^psi holds nan at index \(2, 4\)$"):
+        rip_constant(nan, 2)
 
 
 def test_rip_constant_is_tight():
@@ -220,6 +230,8 @@ def test_hoeffding_validation():
     with pytest.raises(ValueError, match="trials must be >= 1.*got 0"):
         hoeffding_tail_check(np.ones(20), t=1.0, trials=0)
     assert hoeffding_tail_check(np.ones(4), t=1.0, trials=0).exact
+    with pytest.raises(ValueError, match="^trials 2.5 is not an integer$"):
+        hoeffding_tail_check(np.ones(20), t=1.0, trials=2.5, rng=0)
 
 
 def test_hanson_wright_examples():
@@ -254,6 +266,8 @@ def test_hanson_wright_validation():
     with pytest.raises(ValueError, match="trials must be >= 1.*got 0"):
         hanson_wright_tail_check(np.zeros((16, 16)), t=1.0, trials=0)
     assert hanson_wright_tail_check(np.zeros((3, 3)), t=1.0, trials=0).exact
+    with pytest.raises(ValueError, match="^trials 2.5 is not an integer$"):
+        hanson_wright_tail_check(np.zeros((16, 16)), t=1.0, trials=2.5, rng=0)
 
 
 def test_block_norms_sparse_x_trivial():
@@ -309,10 +323,16 @@ def test_block_norms_validation():
         block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=5, delta=0.0)
     with pytest.raises(TypeError, match="delta"):  # the RIP level is never guessed
         block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=2)
+    with pytest.raises(ValueError, match="^block size s 2.5 is not an integer$"):
+        block_norm_bounds_check(np.eye(4), np.eye(4), np.ones(4), np.ones(4), s=2.5, delta=0.0)
 
 
 def test_gaussian_jlt():
     assert np.array_equal(gaussian_jlt_apply(0, 4, 3, np.zeros(3)), np.zeros(4))
+    with pytest.raises(ValueError, match="^m 2.5 is not an integer$"):
+        gaussian_jlt_apply(0, 2.5, 3, np.zeros(3))
+    with pytest.raises(ValueError, match="^n 3.0 is not an integer$"):
+        gaussian_jlt_apply(0, 4, 3.0, np.zeros(3))
     # unbiasedness: E ||Phi x||^2 = ||x||^2 over fresh draws
     rng = np.random.default_rng(8)
     x = rng.standard_normal(6)
@@ -338,6 +358,21 @@ def test_gaussian_jlt_checks_the_cap(monkeypatch):
 def test_verify_suite_all_pass():
     results = verify_suite(seed=0)
     assert results and all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("module, name", [
+    (transforms, "kfjlt_apply_kron"),
+    (transforms, "kfjlt_apply_dense"),
+    (sketch_ls, "sketch_khatri_rao"),
+    (transforms, "factored_apply"),
+])
+def test_verify_fails_on_a_nan_fast_path(monkeypatch, capsys, module, name):
+    fast = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: np.full_like(fast(*args), np.nan))
+    failed = {r.name for r in verify_suite(seed=0) if not r.passed}
+    assert "oracle-equivalence" in failed
+    assert main(["verify"]) == 1
+    assert "[FAIL] oracle-equivalence (max rel err nan)" in capsys.readouterr().out
 
 
 def test_rip_full_width_equals_gram_deviation():
