@@ -197,9 +197,9 @@ def _sample_before(shape: Shape, replacement: bool, op_ss, v, m: int):
     return factored_apply(op, v), op.m
 
 
-def _gaussian(dense, n: int, op_ss, v, m: int):
-    """Dense Gaussian baseline on the length-n materialized test vector."""
-    return gaussian_jlt_apply(op_ss, m, n, dense(v)), m
+def _gaussian(dense, op_ss, v, m: int):
+    """Dense Gaussian baseline on the materialized test vector."""
+    return gaussian_jlt_apply(op_ss, m, dense(v)), m
 
 
 def _distortion_methods(config: ExperimentConfig):
@@ -219,7 +219,7 @@ def _distortion_methods(config: ExperimentConfig):
             methods.append((base + suffix, base, d, partial(_sample_after, shape, replacement, apply)))
     if config.include_gaussian:
         dense = kron_materialize if kron else np.asarray
-        methods.append(("gaussian" + suffix, "gaussian", 1, partial(_gaussian, dense, math.prod(config.shape))))
+        methods.append(("gaussian" + suffix, "gaussian", 1, partial(_gaussian, dense)))
     return methods
 
 

@@ -96,7 +96,8 @@ def _add_experiment_flags(sub) -> set[str]:
         sub.add_argument("--shape", type=parse_shape, help="e.g. 125x125"),
         sub.add_argument("--degrees", type=parse_int_list, help="e.g. 1,2,3"),
         sub.add_argument("--m-grid", type=parse_m_grid, help="start:stop:step (stop inclusive)"),
-        sub.add_argument("--m-list", type=parse_int_list, help="e.g. 64,256,1024 (wins over --m-grid)"),
+        sub.add_argument("--m-list", dest="m_grid", metavar="M_LIST", type=parse_int_list,
+                         help="e.g. 64,256,1024 (sets the same grid as --m-grid; the later flag wins)"),
         sub.add_argument("--trials", type=int),
         sub.add_argument("--seed", type=parse_seed),
         *(sub.add_argument(f"--{name}", choices=allowed) for name, allowed in CHOICES.items()),
@@ -117,8 +118,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     settings = vars(args).copy()
     kind = settings.pop("command")
     settings.pop("config", None)
-    if "m_list" in settings:
-        settings["m_grid"] = settings.pop("m_list")
     if "shape" not in settings:
         raise ValueError("a shape is required (--shape or config file)")
     return ExperimentConfig(kind=kind, **settings)

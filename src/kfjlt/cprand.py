@@ -10,13 +10,15 @@ order, so the unfolded rank-R model satisfies ``M_(k) = A_k @ Z_k.T`` with
 The sketched loop ("mix once, sample every solve"):
 
 1. Upfront, mix the tensor along every mode with ``F_k D_k`` (cost N log N).
-2. For mode k, sample m rows of the mixed Khatri-Rao product of the other
-   (mixed) factor matrices; sample the same m columns of the mixed unfolding
-   and un-mix them along mode k with an inverse DFT and a sign flip.
-3. Solve the complexified least squares for the real factor ``A_k`` and
-   re-mix it for use by the other modes.
+2. For mode k, apply a ``KfjltOperator`` over the other modes, which
+   samples m rows, to the Khatri-Rao product of their factor matrices; take
+   the same m columns of the mixed unfolding and un-mix them along mode k
+   with an inverse DFT and a sign flip.
+3. Solve the complexified least squares for the real factor ``A_k``.
 
-After the upfront mix, no step touches all N tensor entries again.
+The inner solves never touch all N tensor entries. Tracking the fit does:
+``fit`` rebuilds the N-entry model after every sweep, under the
+materialization cap.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import Shape, _as_dim, _check_cap, _check_finite, khatri_rao, khatri_rao_rows, multi_index_array
-from .sketch_ls import complexify, least_squares
-from .transforms import _draw_signs, mix_factor, mix_modes, seed_children
+from .kron import Shape, _as_dim, _check_cap, _check_finite, khatri_rao, multi_index_array
+from .sketch_ls import complexify, least_squares, sketch_khatri_rao
+from .transforms import KfjltOperator, SignVector, _draw_signs, _sample_rows, mix_modes, seed_children
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class CpModel:
         r = factors[0].shape[1]
         if any(a.shape[1] != r for a in factors):
             raise ValueError("factors must share a column count")
+        for k, a in enumerate(factors, start=1):
+            _check_finite(a, f"factor A_{k}")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -93,9 +97,10 @@ def _check_mode(shape: Shape, mode: int):
 
 
 def _rest_dims(shape: Shape, mode: int) -> tuple[int, ...]:
-    """Dimensions of the modes other than ``mode`` (may be empty for d=1)."""
+    """Dimensions of the modes other than ``mode``; ``(1,)`` for a 1-way
+    tensor, whose unfolding is one column."""
     _check_mode(shape, mode)
-    return shape.dims[: mode - 1] + shape.dims[mode:]
+    return shape.dims[: mode - 1] + shape.dims[mode:] or (1,)
 
 
 def unfold(t: DenseTensor, mode: int) -> np.ndarray:
@@ -117,7 +122,7 @@ def khatri_rao_all_but(model: CpModel, mode: int) -> np.ndarray:
 def _gather_unfolding_rows(t: DenseTensor, mode: int, rows) -> np.ndarray:
     """Rows ``rows`` of ``unfold(t, mode).T`` gathered straight from a view
     of the data: O(m * n_k) instead of the O(N) unfolding copy."""
-    rest = _rest_dims(t.shape, mode) or (1,)  # a 1-way tensor unfolds to one column
+    rest = _rest_dims(t.shape, mode)
     nk = t.shape.dims[mode - 1]
     view = np.moveaxis(t.as_array(), mode - 1, -1).reshape(rest + (nk,))
     return view[multi_index_array(Shape(rest), rows)]
@@ -257,11 +262,12 @@ def cprand_mix_sweep(
 ) -> tuple[CpModel, int]:
     """One sketched ALS cycle over the pre-mixed tensor.
 
-    For each mode k the sketched system is assembled from ``rows_per_mode[k-1]``
-    sampled rows: the Khatri-Rao rows of the other mixed factors on the left,
-    and the matching columns of the mixed unfolding, un-mixed along mode k by
-    an inverse DFT and a sign flip, on the right. The complexified real
-    system is solved for ``A_k``.
+    For each mode k the sketch is a ``KfjltOperator`` over the other modes
+    (a 1-way tensor's empty product is one mode of length 1) that keeps
+    ``rows_per_mode[k-1]``: applied to their factors by ``sketch_khatri_rao``
+    on the left, and on the right the matching columns of the mixed
+    unfolding, un-mixed along mode k by an inverse DFT and a sign flip. The
+    complexified real system is solved for ``A_k``.
 
     Passing ``arange(N_k)`` for every mode reproduces the exact ALS sweep.
     Returns the updated model and the number of degenerate solves (fewer
@@ -274,24 +280,17 @@ def cprand_mix_sweep(
     if len(rows_per_mode) != shape.ndim:
         raise ValueError("need one row sample per mode")
     degenerate = 0
-    mixed_factors = [mix_factor(a, sv) for a, sv in zip(model.factors, sign_vectors)]
     for mode in range(1, shape.ndim + 1):
-        rows = np.asarray(rows_per_mode[mode - 1], dtype=np.intp)
-        sub_total = math.prod(_rest_dims(shape, mode))
-        m = rows.size
-        scale = math.sqrt(sub_total / m)
-        others = [f for j, f in enumerate(mixed_factors, start=1) if j != mode]
-        if others:
-            lhs = scale * khatri_rao_rows(others, rows)
-        else:
-            lhs = scale * np.ones((m, model.rank), dtype=np.complex128)
-        sampled = _gather_unfolding_rows(mixed, mode, rows)
-        rhs = scale * np.fft.ifft(sampled, axis=1, norm="ortho") * sign_vectors[mode - 1].signs[None, :]
+        signs = sign_vectors[: mode - 1] + sign_vectors[mode:] or (SignVector(np.ones(1)),)
+        factors = model.factors[: mode - 1] + model.factors[mode:] or (np.ones((1, model.rank)),)
+        op = KfjltOperator(Shape(_rest_dims(shape, mode)), signs, rows_per_mode[mode - 1])
+        lhs = sketch_khatri_rao(op, factors)
+        sampled = _gather_unfolding_rows(mixed, mode, op.rows)
+        rhs = op.scale * np.fft.ifft(sampled, axis=1, norm="ortho") * sign_vectors[mode - 1].signs[None, :]
         akt, _, deficient = least_squares(complexify(lhs), complexify(rhs))
-        if m < model.rank or deficient:
+        if op.m < model.rank or deficient:
             degenerate += 1
         model = model.replace_factor(mode, akt.T)
-        mixed_factors[mode - 1] = mix_factor(model.factors[mode - 1], sign_vectors[mode - 1])
     return model, degenerate
 
 
@@ -332,9 +331,7 @@ def cprand_mix(
         nonlocal degenerate
         # A sketch larger than the full system buys nothing: take every row
         # once instead of oversampling with replacement.
-        rows_per_mode = [
-            np.arange(sub) if m >= sub else rows_rng.integers(0, sub, size=m) for sub in sub_totals
-        ]
+        rows_per_mode = [np.arange(n) if m >= n else _sample_rows(n, m, rows_rng, True) for n in sub_totals]
         model, deg = cprand_mix_sweep(mixed, model, sign_vectors, rows_per_mode)
         degenerate += deg
         return model

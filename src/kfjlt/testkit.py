@@ -222,8 +222,9 @@ def hoeffding_tail_check(x, t: float, trials: int = 100_000, rng=None) -> TailRe
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or not np.any(x):
         raise ValueError("x must be a nonzero vector")
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    _check_finite(x, "x")
+    if not t > 0:
+        raise ValueError(f"threshold must be positive, got {t}")
     return _tail_report(lambda signs: np.abs(signs @ x), x.size, t, hoeffding_bound(x, t), trials, rng)
 
 
@@ -246,10 +247,11 @@ def hanson_wright_tail_check(mat, t: float, trials: int = 100_000, rng=None) -> 
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("X must be square")
+    _check_finite(mat, "X")
     if np.any(np.diag(mat) != 0.0):
         raise ValueError("X must have an exactly zero diagonal")
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    if not t > 0:
+        raise ValueError(f"threshold must be positive, got {t}")
     return _tail_report(
         lambda signs: np.abs(np.einsum("pi,ij,pj->p", signs, mat, signs)),
         mat.shape[0], t, hanson_wright_bound(mat, t), trials, rng,
@@ -361,16 +363,17 @@ def block_norm_bounds_check(
     )
 
 
-def gaussian_jlt_apply(seed, m: int, n: int, x) -> np.ndarray:
-    """Dense Gaussian sketch with i.i.d. N(0, 1/m) entries (baseline)."""
-    if _as_dim(m, "m") < 1 or _as_dim(n, "n") < 1:
-        raise ValueError("m and n must be >= 1")
+def gaussian_jlt_apply(seed, m: int, x) -> np.ndarray:
+    """Dense ``m x n`` Gaussian sketch with i.i.d. N(0, 1/m) entries
+    (baseline), applied to the length-n vector ``x``."""
+    if _as_dim(m, "m") < 1:
+        raise ValueError("m must be >= 1")
     x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"expected vector of length {n}")
-    _check_cap(m * n, "dense Gaussian sketch")
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"expected a nonempty 1-D vector, got shape {x.shape}")
+    _check_cap(m * x.size, "dense Gaussian sketch")
     gen = np.random.default_rng(seed)
-    return gen.standard_normal((m, n)) / math.sqrt(m) @ x
+    return gen.standard_normal((m, x.size)) / math.sqrt(m) @ x
 
 
 def _worse(worst: float, err: float) -> float:

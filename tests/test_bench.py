@@ -325,6 +325,15 @@ def test_cli_config_file_and_override(tmp_path):
     summary = ".summary.csv"
     assert from_file.with_suffix(summary).read_bytes() == from_flags.with_suffix(summary).read_bytes()
     assert len(from_file.read_text().splitlines()) == 1 + 2 * 5
+    # --m-grid and --m-list set one grid: an explicit --m-grid beats the
+    # file's m_list, and on the command line the later flag wins
+    for argv, m in [
+        (["--config", str(cfg_file), "--m-grid", "2:2:1"], {"2"}),
+        (["--shape", "2x2", "--trials", "1", "--m-list", "4", "--m-grid", "2:2:1"], {"2"}),
+        (["--shape", "2x2", "--trials", "1", "--m-grid", "2:2:1", "--m-list", "4"], {"4"}),
+    ]:
+        assert main(["distortion", *argv, "--out", str(from_file)]) == 0
+        assert {row.split(",")[2] for row in from_file.read_text().splitlines()[1:]} == m
 
 
 @pytest.mark.parametrize("line, named", [

@@ -365,6 +365,8 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
     wrong_shape = random_model(Shape((4, 4, 5)), 3, rng)
     nan, inf = t.data.copy(), t.data.copy()
     nan[17], inf[5] = np.nan, -np.inf
+    inf_factor = np.ones((4, 2))
+    inf_factor[3, 1] = np.inf
 
     def no_work(*args):
         raise AssertionError("work started before the input was checked")
@@ -394,6 +396,9 @@ def test_cp_rejects_bad_rank_m_and_init_before_any_work(monkeypatch):
         (lambda: cp_als(DenseTensor(shape, nan), 2), r"\(4, 4, 4\).* nan at linear index 17$"),
         (lambda: cprand_mix(DenseTensor(shape, inf), 2, 10), r"\(4, 4, 4\).* -inf at linear index 5$"),
         (lambda: cp_als(DenseTensor(shape, inf), 2), r"\(4, 4, 4\).* -inf at linear index 5$"),
+        # a non-finite init cannot be built, so neither ALS can start from one
+        (lambda: CpModel((np.array([[np.nan]]),)), r"^factor A_1 holds nan at index \(0, 0\)$"),
+        (lambda: rank_two.replace_factor(2, inf_factor), r"^factor A_2 holds inf at index \(3, 1\)$"),
     ]
     for call, match in cases:
         with pytest.raises(ValueError, match=match):

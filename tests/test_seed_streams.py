@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kfjlt.bench import ExperimentConfig, run_distortion
-from kfjlt.cprand import cp_als, cprand_mix, random_model, reconstruct
+from kfjlt.cprand import DenseTensor, cp_als, cprand_mix, random_model, reconstruct
 from kfjlt.kron import Shape
 from kfjlt.testkit import hoeffding_tail_check
 from kfjlt.transforms import FactoredKfjltOperator, KfjltOperator
@@ -39,6 +39,26 @@ def test_cp_initial_fits_are_pinned():
     assert cprand_mix(t, 2, 8, seed=6, max_sweeps=2).fits == pytest.approx(
         [0.5985837654019946, 0.8058073542407628], rel=1e-9
     )
+
+
+# (dims, rank, m, fits, degenerate_solves), recorded before the sketched sweep
+# built its sketches as KfjltOperators. The 1-way tensor's one mode has one
+# row, and the 4-way case samples fewer rows than the rank: every such
+# solve is degenerate.
+_SKETCHED_CP_PINS = [
+    ((9,), 2, 4, [0.9999999999999992, 0.9999999999999992], 2),
+    ((5, 6), 2, 4, [0.9806068769346912, 0.9957324641315096, 0.9922574830248849], 0),
+    ((4, 3, 2, 5), 3, 2, [0.2703461901141653, 0.3908305123170024, -0.35180618382455675], 12),
+]
+
+
+@pytest.mark.parametrize("dims, rank, m, fits, degenerate", _SKETCHED_CP_PINS)
+def test_sketched_cp_trajectories_are_pinned(dims, rank, m, fits, degenerate):
+    t = reconstruct(random_model(Shape(dims), rank, np.random.default_rng(0)))
+    noise = 0.01 * np.random.default_rng(1).standard_normal(t.data.size)
+    result = cprand_mix(DenseTensor(t.shape, t.data + noise), rank, m, seed=11, max_sweeps=4)
+    assert result.fits == pytest.approx(fits, rel=1e-9)
+    assert result.degenerate_solves == degenerate
 
 
 def test_monte_carlo_tail_frequency_is_pinned():

@@ -232,6 +232,10 @@ def test_hoeffding_validation():
     assert hoeffding_tail_check(np.ones(4), t=1.0, trials=0).exact
     with pytest.raises(ValueError, match="^trials 2.5 is not an integer$"):
         hoeffding_tail_check(np.ones(20), t=1.0, trials=2.5, rng=0)
+    with pytest.raises(ValueError, match="^threshold must be positive, got nan$"):
+        hoeffding_tail_check(np.ones(4), t=np.nan)
+    with pytest.raises(ValueError, match="^x holds nan at linear index 2$"):
+        hoeffding_tail_check(np.array([1.0, 1.0, np.nan, 1.0]), t=1.0)
 
 
 def test_hanson_wright_examples():
@@ -268,6 +272,11 @@ def test_hanson_wright_validation():
     assert hanson_wright_tail_check(np.zeros((3, 3)), t=1.0, trials=0).exact
     with pytest.raises(ValueError, match="^trials 2.5 is not an integer$"):
         hanson_wright_tail_check(np.zeros((16, 16)), t=1.0, trials=2.5, rng=0)
+    with pytest.raises(ValueError, match="^threshold must be positive, got nan$"):
+        hanson_wright_tail_check(np.zeros((3, 3)), t=np.nan)
+    swap_nan = np.array([[0.0, np.nan], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^X holds nan at index \(0, 1\)$"):
+        hanson_wright_tail_check(swap_nan, t=1.0)
 
 
 def test_block_norms_sparse_x_trivial():
@@ -328,31 +337,31 @@ def test_block_norms_validation():
 
 
 def test_gaussian_jlt():
-    assert np.array_equal(gaussian_jlt_apply(0, 4, 3, np.zeros(3)), np.zeros(4))
+    assert np.array_equal(gaussian_jlt_apply(0, 4, np.zeros(3)), np.zeros(4))
     with pytest.raises(ValueError, match="^m 2.5 is not an integer$"):
-        gaussian_jlt_apply(0, 2.5, 3, np.zeros(3))
-    with pytest.raises(ValueError, match="^n 3.0 is not an integer$"):
-        gaussian_jlt_apply(0, 4, 3.0, np.zeros(3))
+        gaussian_jlt_apply(0, 2.5, np.zeros(3))
+    with pytest.raises(ValueError, match=r"expected a nonempty 1-D vector, got shape \(3, 1\)"):
+        gaussian_jlt_apply(0, 4, np.zeros((3, 1)))
     # unbiasedness: E ||Phi x||^2 = ||x||^2 over fresh draws
     rng = np.random.default_rng(8)
     x = rng.standard_normal(6)
     vals = np.empty(20_000)
     for i in range(vals.size):
-        y = gaussian_jlt_apply((9, i), 4, 6, x)
+        y = gaussian_jlt_apply((9, i), 4, x)
         vals[i] = y @ y
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - x @ x) <= 4 * se
     # m = n = 1: output/x is standard normal
-    draws = np.array([gaussian_jlt_apply((10, i), 1, 1, np.array([2.0]))[0] / 2.0 for i in range(20_000)])
+    draws = np.array([gaussian_jlt_apply((10, i), 1, np.array([2.0]))[0] / 2.0 for i in range(20_000)])
     assert abs(draws.var(ddof=1) - 1.0) <= 0.05
 
 
 def test_gaussian_jlt_checks_the_cap(monkeypatch):
     monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 4 * 6 - 1)
     with pytest.raises(ResourceLimitError, match="dense Gaussian sketch of size 24 exceeds the cap 23"):
-        gaussian_jlt_apply(0, 4, 6, np.ones(6))
+        gaussian_jlt_apply(0, 4, np.ones(6))
     monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 4 * 6)
-    assert gaussian_jlt_apply(0, 4, 6, np.ones(6)).shape == (4,)
+    assert gaussian_jlt_apply(0, 4, np.ones(6)).shape == (4,)
 
 
 def test_verify_suite_all_pass():
