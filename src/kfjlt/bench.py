@@ -30,13 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cprand as cp
+from . import cprand as cp, kron
 from .kron import KroneckerVector, Shape, _as_dim, _check_cap, khatri_rao, kron_materialize, kron_norm_sq
 from .sketch_ls import KrlsProblem, _exact_residual, _residual_report, sketch_khatri_rao, solve_sketched_ls
 from .testkit import gaussian_jlt_apply, hanson_wright_tail_check, hoeffding_tail_check
 from .transforms import (
     FactoredKfjltOperator,
     KfjltOperator,
+    SignVector,
     distortion_ratio,
     factored_apply,
     kfjlt_apply_dense,
@@ -96,6 +97,9 @@ class ExperimentConfig:
         for m in self.m_grid:
             if m < 1:
                 raise ValueError(f"every m must be >= 1, got m={m} in {self.m_grid}")
+        if len(set(self.m_grid)) < len(self.m_grid):
+            m = next(m for m in self.m_grid if self.m_grid.count(m) > 1)
+            raise ValueError(f"m={m} is repeated in {self.m_grid}; each m is run once")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.max_sweeps < 1:
@@ -110,6 +114,8 @@ class ExperimentConfig:
         if self.kind != "concentration" and not self.m_grid:
             raise ValueError(f"{self.kind} experiments need a nonempty m grid")
         if self.kind == "distortion":
+            if not self.degrees:
+                raise ValueError("distortion experiments need at least one degree")
             for d in self.degrees:
                 group_dims(self.shape, d)  # raises with explanation
         if self.sampling == "before" and self.structure == "generic":
@@ -205,8 +211,8 @@ def _gaussian(dense, op_ss, v, m: int):
 def _distortion_methods(config: ExperimentConfig):
     """``(label, base, degree, sketch)`` per method, with ``sketch(op_ss, v,
     m) -> (y, m_out)`` bound to everything that is fixed across trials."""
-    kron = config.structure == "kron"
-    suffix = "" if kron else "-generic"
+    kron_vectors = config.structure == "kron"
+    suffix = "" if kron_vectors else "-generic"
     replacement = config.replacement == "with"
     methods = []
     for d in sorted(set(config.degrees)):
@@ -215,10 +221,10 @@ def _distortion_methods(config: ExperimentConfig):
         if config.sampling == "before" and d > 1:
             methods.append((base + "-factored" + suffix, base, d, partial(_sample_before, shape, replacement)))
         else:
-            apply = kfjlt_apply_kron if kron else kfjlt_apply_dense
+            apply = kfjlt_apply_kron if kron_vectors else kfjlt_apply_dense
             methods.append((base + suffix, base, d, partial(_sample_after, shape, replacement, apply)))
     if config.include_gaussian:
-        dense = kron_materialize if kron else np.asarray
+        dense = kron_materialize if kron_vectors else np.asarray
         methods.append(("gaussian" + suffix, "gaussian", 1, partial(_gaussian, dense)))
     return methods
 
@@ -244,68 +250,57 @@ def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-def _timed_fjlt_pass(factor_stacks, signs, rows, scale) -> int:
+def _elapsed_ns(embed) -> int:
+    """Wall time of one call ``embed()``, in nanoseconds."""
+    t0 = time.perf_counter_ns()
+    embed()
+    return time.perf_counter_ns() - t0
+
+
+def _embed_flat(flat: KfjltOperator, cols) -> None:
     """Embed a corpus the flat way: form each Kronecker vector, mix the full
-    length, sample. Returns elapsed nanoseconds."""
-    t0 = time.perf_counter_ns()
-    full = factor_stacks[0]
-    for fs in factor_stacks[1:]:
-        full = (fs[:, :, None] * full[:, None, :]).reshape(full.shape[0], -1)
-    mixed = np.fft.fft(full * signs[None, :], axis=1, norm="ortho")
-    _ = scale * mixed[:, rows]
-    return time.perf_counter_ns() - t0
-
-
-def _timed_kfjlt_pass(factor_stacks, op: KfjltOperator) -> int:
-    """Embed a corpus the structured way: mix each factor, trace sampled
-    indices back. Returns elapsed nanoseconds."""
-    t0 = time.perf_counter_ns()
-    _ = sketch_khatri_rao(op, [fs.T for fs in factor_stacks])
-    return time.perf_counter_ns() - t0
+    length, sample; in chunks of at most the materialization cap's entries."""
+    chunk = max(1, kron.DEFAULT_MATERIALIZE_CAP // flat.shape.total)
+    for i in range(0, cols[0].shape[1], chunk):
+        kfjlt_apply_dense(flat, khatri_rao([c[:, i:i + chunk] for c in cols]))
 
 
 def run_timing(config: ExperimentConfig) -> list[TrialRecord]:
     """Wall time to embed the whole corpus of ``trials`` Kronecker vectors.
 
-    The corpus is embedded as one vectorized pass per method (the flat path
-    forms each full vector inside the timed region; the structured path never
-    does). A warm-up pass is excluded and ``TIMING_REPEATS`` measured passes are
-    recorded so the median is available downstream.
+    The flat path is ``kfjlt_apply_dense`` with the degree-1 operator that
+    shares the KFJLT's signs, rows and scale, and forms every full vector in
+    the timed region; ``sketch_khatri_rao`` never does. A warm-up pass is
+    excluded and ``TIMING_REPEATS`` measured passes are recorded.
     """
     shape = Shape(config.shape)
     d = shape.ndim
     records = []
     if config.trials == 0:
         return records
-    # Corpus drawn once, independent of methods and of the m grid.
+    # Corpus drawn once, independent of methods and of the m grid; stacked
+    # (trials, n_k) and transposed, so each formed vector is contiguous.
     corpus = []
     for t in range(config.trials):
         ss = trial_seed_sequence(config.seed, config.kind, "corpus", 0, t)
         rng = np.random.default_rng(ss)
         corpus.append([_draw(rng, n, config.dist) for n in shape.dims])
-    stacks = [np.stack([c[k] for c in corpus]) for k in range(d)]
+    cols = [np.stack([c[k] for c in corpus]).T for k in range(d)]
     replacement = config.replacement == "with"
     for m in config.m_grid:
         ss = trial_seed_sequence(config.seed, config.kind, "kfjlt", m, 0)
         op = KfjltOperator.from_seed(seed_children(ss, 1)[0], shape, m, replacement)
         zeta = kron_materialize(KroneckerVector(tuple(sv.signs for sv in op.sign_vectors)))
+        flat = KfjltOperator(Shape((shape.total,)), (SignVector(zeta),), op.rows)
         passes = (
-            ("fjlt", lambda: _timed_fjlt_pass(stacks, zeta, op.rows, op.scale)),
-            (f"kfjlt-d{d}", lambda: _timed_kfjlt_pass(stacks, op)),
+            ("fjlt", partial(_embed_flat, flat, cols)),
+            (f"kfjlt-d{d}", partial(sketch_khatri_rao, op, cols)),
         )
-        for method, runner in passes:
-            runner()  # warm-up, not recorded
+        for method, embed in passes:
+            _elapsed_ns(embed)  # warm-up, not recorded
             for rep in range(TIMING_REPEATS):
-                records.append(
-                    TrialRecord(
-                        config.experiment_id,
-                        method,
-                        m,
-                        rep,
-                        _seed_value(ss),
-                        float(runner()),
-                    )
-                )
+                ns = float(_elapsed_ns(embed))
+                records.append(TrialRecord(config.experiment_id, method, m, rep, _seed_value(ss), ns))
     return records
 
 

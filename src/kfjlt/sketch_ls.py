@@ -101,7 +101,7 @@ def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> tuple[np.n
     ca = sketch_khatri_rao(op, problem.factor_matrices)
     if problem.rhs.ndim == 1:
         cb = kfjlt_apply_dense(op, problem.rhs)
-    else:
+    else:  # per column: one batched call raised the ls benchmark's peak RSS 118 -> 182 MB
         cb = np.stack([kfjlt_apply_dense(op, col) for col in problem.rhs.T], axis=1)
     return complexify(ca), complexify(cb)
 

@@ -203,20 +203,22 @@ def kfjlt_apply_kron(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
 
 
 def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
-    """Apply the operator to an arbitrary vector of length N.
+    """Apply the operator to a vector of length N, or to each column of an
+    ``N x k`` array (trailing axes are batch axes).
 
     Reshapes x as a d-way tensor (mode 1 fastest), mixes along every mode,
     and gathers the sampled entries.
     """
     x = np.asarray(x)
-    if x.shape != (op.shape.total,):
+    if x.ndim < 1 or x.shape[0] != op.shape.total:
         raise ValueError(f"expected vector of length {op.shape.total}, got {x.shape}")
-    t = mix_modes(x.reshape(op.shape.dims, order="F"), op.sign_vectors)
-    return op.scale * t.reshape(-1, order="F")[op.rows]
+    batch = x.shape[1:]
+    t = mix_modes(x.reshape(op.shape.dims + batch, order="F"), op.sign_vectors)
+    return op.scale * t.reshape((-1,) + batch, order="F")[op.rows]
 
 
 def fjlt_apply(op: KfjltOperator, x) -> np.ndarray:
-    """Apply a degree-1 operator to a vector of length n."""
+    """Apply a degree-1 operator to a vector of length n (or ``n x k``)."""
     return kfjlt_apply_dense(op, x)
 
 

@@ -18,7 +18,8 @@ from kfjlt.bench import (
     summarize,
 )
 from kfjlt.cli import main, parse_m_grid, parse_shape
-from kfjlt.kron import KroneckerVector, kron_materialize
+from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
+from kfjlt.transforms import materialize_operator
 
 
 def test_group_dims():
@@ -80,6 +81,12 @@ def test_config_validation():
         ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(4,), dist="normal")
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ExperimentConfig(kind="distortion", shape=(4, 4), m_grid=(4,), seed=-1)
+    # a repeated m would run, and be summarized, twice
+    for kind in ("distortion", "timing", "ls", "cprand", "concentration"):
+        with pytest.raises(ValueError, match=r"m=4 is repeated in \(8, 4, 4\)"):
+            ExperimentConfig(kind=kind, shape=(2, 2), m_grid=(8, 4, 4))
+    with pytest.raises(ValueError, match="at least one degree"):
+        ExperimentConfig(kind="distortion", shape=(2, 2), degrees=(), m_grid=(4,))
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -218,6 +225,28 @@ def test_timing_runner():
     assert all(r.value > 0 for r in records)
     cfg0 = ExperimentConfig(kind="timing", shape=(8, 8), m_grid=(4,), trials=0, seed=1)
     assert run_timing(cfg0) == []
+
+
+def test_timing_flat_pass_is_the_library_fjlt_in_capped_chunks(monkeypatch):
+    import kfjlt.bench as bench
+
+    flat_calls, structured = [], []
+    apply_dense, sketch = bench.kfjlt_apply_dense, bench.sketch_khatri_rao
+    monkeypatch.setattr(bench, "kfjlt_apply_dense", lambda op, x: flat_calls.append((op, x)) or apply_dense(op, x))
+    monkeypatch.setattr(bench, "sketch_khatri_rao", lambda op, mats: structured.append(op) or sketch(op, mats))
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 3 * 16)
+    cfg = ExperimentConfig(kind="timing", shape=(4, 4), m_grid=(8,), trials=10, seed=2)
+    assert len(run_timing(cfg)) == 2 * 3
+    # one warm-up and three measured passes, each in chunks of 3 vectors
+    assert [x.shape for _, x in flat_calls] == [(16, 3), (16, 3), (16, 3), (16, 1)] * 4
+    monkeypatch.undo()  # the oracle below needs the default cap
+    op = structured[0]
+    assert len(structured) == 4 and all(s is op for s in structured)
+    zeta = khatri_rao([sv.signs for sv in op.sign_vectors])
+    for flat, x in flat_calls:
+        assert flat.shape == Shape((16,)) and flat.scale == op.scale
+        assert np.array_equal(flat.sign_vectors[0].signs, zeta) and np.array_equal(flat.rows, op.rows)
+        assert np.allclose(apply_dense(flat, x), materialize_operator(flat) @ x, rtol=0, atol=1e-10)
 
 
 def test_concentration_runner():

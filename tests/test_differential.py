@@ -64,6 +64,8 @@ def test_kfjlt_fast_paths_match_the_materialized_operator():
         assert _rel_err(kfjlt_apply_dense(op, x), ref) <= TOL, (case, shape.dims, m)
         y = rng.standard_normal(shape.total)
         assert _rel_err(kfjlt_apply_dense(op, y), dense @ y) <= TOL, (case, shape.dims, m)
+        both = kfjlt_apply_dense(op, np.stack([x, y], axis=1))
+        assert np.array_equal(both, np.stack([kfjlt_apply_dense(op, x), kfjlt_apply_dense(op, y)], axis=1))
         mats = [rng.standard_normal((n, 3)) for n in shape.dims]
         assert _rel_err(sketch_khatri_rao(op, mats), dense @ khatri_rao(mats)) <= TOL, (case, shape.dims, m)
     assert grew and without  # both sampling regimes were drawn

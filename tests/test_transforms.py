@@ -361,6 +361,11 @@ def test_shape_mismatch_errors():
         kfjlt_apply_kron(op, v)
     with pytest.raises(ValueError):
         kfjlt_apply_dense(op, np.ones(15))
+    # a batch is N x k; a wrong height or a scalar is refused
+    assert kfjlt_apply_dense(op, np.ones((16, 2))).shape == (4, 2)
+    for bad in (np.ones((17, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="expected vector of length 16"):
+            kfjlt_apply_dense(op, bad)
 
 
 def test_degenerate_unit_factors_allowed():
