@@ -37,7 +37,6 @@ from .testkit import gaussian_jlt_apply, hanson_wright_tail_check, hoeffding_tai
 from .transforms import (
     FactoredKfjltOperator,
     KfjltOperator,
-    SignVector,
     distortion_ratio,
     factored_apply,
     kfjlt_apply_dense,
@@ -290,8 +289,8 @@ def run_timing(config: ExperimentConfig) -> list[TrialRecord]:
     for m in config.m_grid:
         ss = trial_seed_sequence(config.seed, config.kind, "kfjlt", m, 0)
         op = KfjltOperator.from_seed(seed_children(ss, 1)[0], shape, m, replacement)
-        zeta = kron_materialize(KroneckerVector(tuple(sv.signs for sv in op.sign_vectors)))
-        flat = KfjltOperator(Shape((shape.total,)), (SignVector(zeta),), op.rows)
+        zeta = kron_materialize(KroneckerVector(op.signs))
+        flat = KfjltOperator(Shape((shape.total,)), (zeta,), op.rows)
         passes = (
             ("fjlt", partial(_embed_flat, flat, cols)),
             (f"kfjlt-d{d}", partial(sketch_khatri_rao, op, cols)),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .kron import Shape, _as_dim, _check_cap, _check_finite, khatri_rao, multi_index_array
 from .sketch_ls import complexify, least_squares, sketch_khatri_rao
-from .transforms import KfjltOperator, SignVector, _draw_signs, _sample_rows, mix_modes, seed_children
+from .transforms import KfjltOperator, _draw_signs, _sample_rows, mix_modes, seed_children
 
 
 @dataclass(frozen=True)
@@ -245,19 +245,19 @@ def cp_als(
     return CpAlsResult(*_als_loop(t, init, lambda model: cp_als_sweep(t, model), max_sweeps, fit_tol))
 
 
-def mix_tensor(t: DenseTensor, sign_vectors) -> DenseTensor:
-    """Mix along every mode with ``F_k D_k``; Frobenius-norm preserving."""
-    sign_vectors = tuple(sign_vectors)
-    if len(sign_vectors) != t.shape.ndim:
+def mix_tensor(t: DenseTensor, signs) -> DenseTensor:
+    """Mix along every mode with ``F_k D_k``, one +-1 vector per mode; Frobenius-norm preserving."""
+    signs = tuple(signs)
+    if len(signs) != t.shape.ndim:
         raise ValueError("need one sign vector per mode")
-    arr = mix_modes(t.as_array().astype(np.complex128), sign_vectors)
+    arr = mix_modes(t.as_array().astype(np.complex128), signs)
     return DenseTensor(t.shape, arr.reshape(-1, order="F"))
 
 
 def cprand_mix_sweep(
     mixed: DenseTensor,
     model: CpModel,
-    sign_vectors,
+    signs,
     rows_per_mode,
 ) -> tuple[CpModel, int]:
     """One sketched ALS cycle over the pre-mixed tensor.
@@ -273,7 +273,7 @@ def cprand_mix_sweep(
     Returns the updated model and the number of degenerate solves (fewer
     sampled rows than columns, or a rank-deficient sketch).
     """
-    sign_vectors = tuple(sign_vectors)
+    signs = tuple(map(np.asarray, signs))
     shape = model.shape
     if mixed.shape != shape:
         raise ValueError("tensor and model shapes differ")
@@ -281,12 +281,12 @@ def cprand_mix_sweep(
         raise ValueError("need one row sample per mode")
     degenerate = 0
     for mode in range(1, shape.ndim + 1):
-        signs = sign_vectors[: mode - 1] + sign_vectors[mode:] or (SignVector(np.ones(1)),)
+        rest = signs[: mode - 1] + signs[mode:] or (np.ones(1),)
         factors = model.factors[: mode - 1] + model.factors[mode:] or (np.ones((1, model.rank)),)
-        op = KfjltOperator(Shape(_rest_dims(shape, mode)), signs, rows_per_mode[mode - 1])
+        op = KfjltOperator(Shape(_rest_dims(shape, mode)), rest, rows_per_mode[mode - 1])
         lhs = sketch_khatri_rao(op, factors)
         sampled = _gather_unfolding_rows(mixed, mode, op.rows)
-        rhs = op.scale * np.fft.ifft(sampled, axis=1, norm="ortho") * sign_vectors[mode - 1].signs[None, :]
+        rhs = op.scale * np.fft.ifft(sampled, axis=1, norm="ortho") * signs[mode - 1]
         akt, _, deficient = least_squares(complexify(lhs), complexify(rhs))
         if op.m < model.rank or deficient:
             degenerate += 1
@@ -319,11 +319,11 @@ def cprand_mix(
     if _as_dim(m, "m") < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     sign_kid, init_kid, rows_kid = seed_children(seed, 3)
-    sign_vectors = _draw_signs(seed_children(sign_kid, t.shape.ndim), t.shape.dims)
+    signs = _draw_signs(seed_children(sign_kid, t.shape.ndim), t.shape.dims)
     if init is None:
         init = random_model(t.shape, rank, np.random.default_rng(init_kid))
     rows_rng = np.random.default_rng(rows_kid)
-    mixed = mix_tensor(t, sign_vectors)
+    mixed = mix_tensor(t, signs)
     sub_totals = [math.prod(_rest_dims(t.shape, mode)) for mode in range(1, t.shape.ndim + 1)]
     degenerate = 0
 
@@ -332,7 +332,7 @@ def cprand_mix(
         # A sketch larger than the full system buys nothing: take every row
         # once instead of oversampling with replacement.
         rows_per_mode = [np.arange(n) if m >= n else _sample_rows(n, m, rows_rng, True) for n in sub_totals]
-        model, deg = cprand_mix_sweep(mixed, model, sign_vectors, rows_per_mode)
+        model, deg = cprand_mix_sweep(mixed, model, signs, rows_per_mode)
         degenerate += deg
         return model
 

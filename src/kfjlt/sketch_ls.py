@@ -40,6 +40,8 @@ class KrlsProblem:
             raise ValueError("factor matrices must share a column count")
         shape = Shape(tuple(a.shape[0] for a in mats))
         rhs = np.asarray(self.rhs, dtype=np.float64)
+        if rhs.ndim not in (1, 2):
+            raise ValueError(f"rhs must be a vector or a matrix, got shape {rhs.shape}")
         if rhs.shape[0] != shape.total:
             raise ValueError(f"rhs has {rhs.shape[0]} rows, expected {shape.total}")
         for k, a in enumerate(mats, start=1):
@@ -64,7 +66,7 @@ def sketch_khatri_rao(op: KfjltOperator, factor_matrices) -> np.ndarray:
     mats = [np.asarray(a) for a in factor_matrices]
     if tuple(a.shape[0] for a in mats) != op.shape.dims:
         raise ValueError("factor matrix heights must match the operator shape")
-    mixed = [mix_factor(a, sv) for a, sv in zip(mats, op.sign_vectors)]
+    mixed = [mix_factor(a, s) for a, s in zip(mats, op.signs)]
     return op.scale * khatri_rao_rows(mixed, op.rows)
 
 

@@ -22,9 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kron import ResourceLimitError, Shape, _as_dim, _check_cap, _check_finite
+from . import sketch_ls, transforms
+from .kron import (
+    KroneckerVector,
+    ResourceLimitError,
+    Shape,
+    _as_dim,
+    _check_cap,
+    _check_finite,
+    khatri_rao,
+    kron_materialize,
+    kron_norm_sq,
+)
 from .sketch_ls import complexify
-from .transforms import SignVector
 
 EXACT_ENUMERATION_LIMIT = 4096  # exact sign enumeration whenever 2^n <= this
 
@@ -155,8 +165,9 @@ def rip_constant(psi, order: int, max_supports: int = 200_000) -> RipReport:
     return RipReport(m, n, order, delta, count, enumerated)
 
 
-def distortion_quadratic_form(psi, x, zeta: SignVector) -> float:
-    """``zeta^T M zeta`` with ``M = D_x (Psi^T Psi - I) D_x``.
+def distortion_quadratic_form(psi, x, zeta) -> float:
+    """``zeta^T M zeta`` with ``M = D_x (Psi^T Psi - I) D_x`` for a +-1 vector
+    ``zeta``.
 
     Equals ``||Psi D_zeta x||^2 - ||x||^2`` exactly (the sign flips cancel on
     the diagonal). Complex matrices enter through their real stacking.
@@ -165,10 +176,13 @@ def distortion_quadratic_form(psi, x, zeta: SignVector) -> float:
     if np.iscomplexobj(psi):
         psi = complexify(psi)
     x = np.asarray(x, dtype=np.float64)
-    if psi.shape[1] != x.size or len(zeta) != x.size:
+    if x.ndim != 1:
+        raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
+    zeta = transforms._as_signs(zeta)
+    if psi.shape[1] != x.size or zeta.size != x.size:
         raise ValueError("dimension mismatch")
     g = psi.T @ psi - np.eye(x.size)
-    xz = x * zeta.signs
+    xz = x * zeta
     return float(xz @ g @ xz)
 
 
@@ -397,9 +411,6 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     concentration tails under exact enumeration, restricted isometry hand
     cases and consequences, and the sorted-block norm bounds.
     """
-    from . import sketch_ls, transforms
-    from .kron import KroneckerVector, khatri_rao, kron_materialize, kron_norm_sq
-
     results = []
 
     def record(name, passed, detail=""):
@@ -444,7 +455,7 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     # The FJLT (degree-1 operator) against the dense DFT matrix.
     op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((16,)), m=5)
     xv = gen.standard_normal(16)
-    ref = op.scale * (transforms.dft_matrix(16) @ (op.sign_vectors[0].signs * xv))[op.rows]
+    ref = op.scale * (transforms.dft_matrix(16) @ (op.signs[0] * xv))[op.rows]
     err = float(np.linalg.norm(transforms.fjlt_apply(op, xv) - ref) / np.linalg.norm(ref))
     record("fjlt-dft-oracle", err <= 1e-12, f"rel err {err:.2e}")
 

@@ -50,20 +50,25 @@ def seed_children(seed, count: int) -> list[np.random.SeedSequence]:
     ]
 
 
+def _as_signs(signs) -> np.ndarray:
+    """``signs`` as a float64 vector of +-1 entries: the package's one sign check."""
+    signs = np.asarray(signs, dtype=np.float64)
+    if signs.ndim != 1 or not (np.abs(signs) == 1.0).all():
+        raise ValueError("signs must be a 1-D vector of +-1 entries")
+    return signs
+
+
 @dataclass(frozen=True)
 class SignVector:
-    """Vector of independent uniform +-1 entries."""
+    """Vector of independent uniform +-1 entries; ``np.asarray`` gives ``signs``."""
 
     signs: np.ndarray
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.float64)
-        if signs.ndim != 1 or not np.all(np.abs(signs) == 1.0):
-            raise ValueError("signs must be a 1-D vector of +-1 entries")
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", _as_signs(self.signs))
 
-    def __len__(self):
-        return self.signs.size
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.signs, dtype=dtype, copy=copy)
 
 
 def rademacher(n: int, rng: np.random.Generator) -> SignVector:
@@ -71,10 +76,9 @@ def rademacher(n: int, rng: np.random.Generator) -> SignVector:
     return SignVector(rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0)
 
 
-def _draw_signs(kids, dims) -> tuple[SignVector, ...]:
-    """One sign vector per factor, factor k drawn from its own sub-stream
-    ``kids[k]``."""
-    return tuple(rademacher(n, np.random.default_rng(kid)) for n, kid in zip(dims, kids))
+def _draw_signs(kids, dims) -> tuple[np.ndarray, ...]:
+    """One +-1 array per factor, factor k drawn from its own sub-stream ``kids[k]``."""
+    return tuple(rademacher(n, np.random.default_rng(kid)).signs for n, kid in zip(dims, kids))
 
 
 def _dft_rows(n: int, rows) -> np.ndarray:
@@ -91,30 +95,27 @@ def dft_matrix(n: int) -> np.ndarray:
     return _dft_rows(n, np.arange(n))
 
 
-def mix_modes(t, sign_vectors) -> np.ndarray:
-    """Apply ``F_k D_k`` along axis k for the k-th sign vector: flip signs,
+def mix_modes(t, signs) -> np.ndarray:
+    """Apply ``F_k D_k`` along axis k for the k-th +-1 sign vector: flip signs,
     then take the unitary DFT ``y[j] = n**-0.5 * sum_l x[l] exp(-2 pi i j l / n)``.
 
     Axes after the last sign vector are batch axes, mixed independently.
     This is the one mixing kernel of the package; it preserves 2-norms.
     """
     t = np.asarray(t)
-    if len(sign_vectors) > t.ndim:
-        raise ValueError(f"{len(sign_vectors)} sign vectors for a {t.ndim}-axis array")
-    for axis, sv in enumerate(sign_vectors):
-        if t.shape[axis] != len(sv):
-            raise ValueError(
-                f"axis {axis} has length {t.shape[axis]} but its sign vector has {len(sv)}"
-            )
-        signs = sv.signs.reshape((-1,) + (1,) * (t.ndim - axis - 1))
-        t = np.fft.fft(t * signs, axis=axis, norm="ortho")
+    if len(signs) > t.ndim:
+        raise ValueError(f"{len(signs)} sign vectors for a {t.ndim}-axis array")
+    for axis, s in enumerate(map(np.asarray, signs)):
+        if s.shape != (t.shape[axis],):
+            raise ValueError(f"axis {axis} has length {t.shape[axis]} but its sign vector has shape {s.shape}")
+        t = np.fft.fft(t * s.reshape((-1,) + (1,) * (t.ndim - axis - 1)), axis=axis, norm="ortho")
     return t
 
 
-def mix_factor(x, sv: SignVector) -> np.ndarray:
+def mix_factor(x, signs) -> np.ndarray:
     """``F D_xi x``: sign-flip then unitary DFT along axis 0 (each column of
     a matrix is one vector). Norm-preserving."""
-    return mix_modes(x, (sv,))
+    return mix_modes(x, (signs,))
 
 
 def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bool) -> np.ndarray:
@@ -129,11 +130,11 @@ def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bo
 
 @dataclass(frozen=True)
 class KfjltOperator:
-    """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space: its sign
-    vectors and its m sampled rows; the scale follows from m and N."""
+    """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space: its +-1
+    sign arrays and its m sampled rows; the scale follows from m and N."""
 
     shape: Shape
-    sign_vectors: tuple[SignVector, ...]
+    signs: tuple[np.ndarray, ...]
     rows: np.ndarray
 
     def __post_init__(self):
@@ -142,14 +143,11 @@ class KfjltOperator:
             raise ValueError(f"row indices must be integers, got {rows.dtype} array {rows}")
         rows = rows.astype(np.intp, copy=False)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "sign_vectors", tuple(self.sign_vectors))
-        if len(self.sign_vectors) != self.shape.ndim:
+        object.__setattr__(self, "signs", tuple(map(_as_signs, self.signs)))
+        if len(self.signs) != self.shape.ndim:
             raise ValueError("need one sign vector per factor")
-        for k, (sv, n) in enumerate(zip(self.sign_vectors, self.shape.dims)):
-            if not isinstance(sv, SignVector):
-                raise TypeError(f"sign vector {k} is a {type(sv).__name__}, not a SignVector")
-            if len(sv) != n:
-                raise ValueError("sign vector lengths must match the shape")
+        if tuple(s.size for s in self.signs) != self.shape.dims:
+            raise ValueError("sign vector lengths must match the shape")
         if rows.ndim != 1 or rows.size < 1:
             raise ValueError("need at least one sampled row")
         if rows.min() < 0 or rows.max() >= self.shape.total:
@@ -197,8 +195,8 @@ def kfjlt_apply_kron(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
     d looked-up mixed entries. The length-N vector is never formed.
     """
     if v.shape != op.shape:
-        raise ValueError(f"shape mismatch: vector {v.shape.dims} vs operator {op.shape.dims}")
-    mixed = [mix_factor(x, sv) for x, sv in zip(v.factors, op.sign_vectors)]
+        raise ValueError(f"shape mismatch: vector {v.shape} vs operator {op.shape}")
+    mixed = [mix_factor(x, s) for x, s in zip(v.factors, op.signs)]
     return op.scale * khatri_rao_rows(mixed, op.rows)
 
 
@@ -213,7 +211,7 @@ def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
     if x.ndim < 1 or x.shape[0] != op.shape.total:
         raise ValueError(f"expected vector of length {op.shape.total}, got {x.shape}")
     batch = x.shape[1:]
-    t = mix_modes(x.reshape(op.shape.dims + batch, order="F"), op.sign_vectors)
+    t = mix_modes(x.reshape(op.shape.dims + batch, order="F"), op.signs)
     return op.scale * t.reshape((-1,) + batch, order="F")[op.rows]
 
 
@@ -253,8 +251,8 @@ class FactoredKfjltOperator:
         kids = seed_children(seed, d + 1)
         row_kids = seed_children(kids[d], d)
         return cls(tuple(
-            KfjltOperator(Shape((n,)), (sv,), _sample_rows(n, mk, np.random.default_rng(row_kid), replacement))
-            for n, mk, sv, row_kid in zip(shape.dims, ms, _draw_signs(kids, shape.dims), row_kids)
+            KfjltOperator(Shape((n,)), (s,), _sample_rows(n, mk, np.random.default_rng(row_kid), replacement))
+            for n, mk, s, row_kid in zip(shape.dims, ms, _draw_signs(kids, shape.dims), row_kids)
         ))
 
 
@@ -262,7 +260,7 @@ def factored_apply(op: FactoredKfjltOperator, v: KroneckerVector) -> np.ndarray:
     """Kronecker product of the per-factor sketches ``kfjlt_apply_dense(op_k,
     x_k)`` (length prod m_k)."""
     if v.shape != op.shape:
-        raise ValueError(f"shape mismatch: vector {v.shape.dims} vs operator {op.shape.dims}")
+        raise ValueError(f"shape mismatch: vector {v.shape} vs operator {op.shape}")
     return khatri_rao([kfjlt_apply_dense(fop, x) for fop, x in zip(op.operators, v.factors)])
 
 
@@ -289,8 +287,8 @@ def materialize_operator(op) -> np.ndarray:
     if isinstance(op, KfjltOperator):
         coords = multi_index_array(op.shape, op.rows)
         blocks = [
-            (_dft_rows(n, c) * sv.signs).T
-            for n, c, sv in zip(op.shape.dims, coords, op.sign_vectors)
+            (_dft_rows(n, c) * s).T
+            for n, c, s in zip(op.shape.dims, coords, op.signs)
         ]
         return op.scale * khatri_rao(blocks).T
     coords = multi_index_array(Shape(tuple(f.m for f in op.operators)), np.arange(op.m))

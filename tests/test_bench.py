@@ -242,10 +242,10 @@ def test_timing_flat_pass_is_the_library_fjlt_in_capped_chunks(monkeypatch):
     monkeypatch.undo()  # the oracle below needs the default cap
     op = structured[0]
     assert len(structured) == 4 and all(s is op for s in structured)
-    zeta = khatri_rao([sv.signs for sv in op.sign_vectors])
+    zeta = khatri_rao(list(op.signs))
     for flat, x in flat_calls:
         assert flat.shape == Shape((16,)) and flat.scale == op.scale
-        assert np.array_equal(flat.sign_vectors[0].signs, zeta) and np.array_equal(flat.rows, op.rows)
+        assert np.array_equal(flat.signs[0], zeta) and np.array_equal(flat.rows, op.rows)
         assert np.allclose(apply_dense(flat, x), materialize_operator(flat) @ x, rtol=0, atol=1e-10)
 
 

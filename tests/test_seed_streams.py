@@ -18,12 +18,12 @@ from kfjlt.transforms import FactoredKfjltOperator, KfjltOperator
 
 def test_operator_signs_and_rows_are_pinned():
     op = KfjltOperator.from_seed(7, Shape((4, 5, 3)), 9)
-    assert [sv.signs.tolist() for sv in op.sign_vectors] == [
+    assert [s.tolist() for s in op.signs] == [
         [-1, 1, -1, -1], [1, -1, -1, -1, -1], [-1, 1, 1],
     ]
     assert op.rows.tolist() == [28, 58, 19, 3, 9, 0, 3, 31, 5]
     fop = FactoredKfjltOperator.from_seed(7, Shape((4, 5)), [2, 3])
-    assert [f.sign_vectors[0].signs.tolist() for f in fop.operators] == [
+    assert [f.signs[0].tolist() for f in fop.operators] == [
         [-1, 1, -1, -1], [1, -1, -1, -1, -1],
     ]
     assert [f.rows.tolist() for f in fop.operators] == [[3, 0], [3, 2, 0]]

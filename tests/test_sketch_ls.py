@@ -186,6 +186,14 @@ def test_dimension_mismatch_errors():
         sketch_khatri_rao(op, factors)
 
 
+def test_problem_rejects_rhs_that_is_not_a_vector_or_matrix():
+    factors = tuple(np.ones((n, 2)) for n in (4, 3))
+    with pytest.raises(ValueError, match=r"^rhs must be a vector or a matrix, got shape \(\)$"):
+        KrlsProblem(factors, 3.0)
+    with pytest.raises(ValueError, match=r"^rhs must be a vector or a matrix, got shape \(12, 2, 2\)$"):
+        KrlsProblem(factors, np.ones((12, 2, 2)))
+
+
 def test_problem_rejects_nan_and_inf():
     rng = np.random.default_rng(17)
     factors = [rng.standard_normal((n, 2)) for n in (4, 3)]

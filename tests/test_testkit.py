@@ -196,6 +196,17 @@ def test_quadratic_form_orthonormal_and_all_ones():
     assert val == pytest.approx(float(np.linalg.norm(psi @ x) ** 2 - x @ x), rel=1e-10)
 
 
+def test_quadratic_form_refuses_non_sign_zeta_and_non_vector_x():
+    rng = np.random.default_rng(4)
+    psi = rng.standard_normal((6, 16))
+    x = rng.standard_normal(16)
+    # the identity holds only for +-1 entries
+    with pytest.raises(ValueError, match=r"signs must be a 1-D vector of \+-1 entries"):
+        distortion_quadratic_form(psi, x, np.full(16, 0.5))
+    with pytest.raises(ValueError, match=r"^x must be a 1-D vector, got shape \(16, 2\)$"):
+        distortion_quadratic_form(psi, np.ones((16, 2)), np.ones(16))
+
+
 def test_hoeffding_examples():
     # t above the l1 norm: the event is impossible
     rep = hoeffding_tail_check(np.ones(4), t=5.0)

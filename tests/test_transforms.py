@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kfjlt.cprand import DenseTensor, cprand_mix_sweep, mix_tensor, random_model
 from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, kron_materialize, kron_norm_sq
-from kfjlt.testkit import dense_oracle_apply
+from kfjlt.testkit import dense_oracle_apply, distortion_quadratic_form
 from kfjlt.transforms import (
     FactoredKfjltOperator,
     FjltOperator,
@@ -72,7 +73,31 @@ def test_sign_vector_validation():
     with pytest.raises(ValueError):
         SignVector(np.array([1.0, 0.5]))
     sv = SignVector(np.array([1.0, -1.0, 1.0]))
-    assert len(sv) == 3
+    assert np.asarray(sv) is sv.signs and np.array_equal(sv.signs, [1.0, -1.0, 1.0])
+
+
+def test_sign_vectors_and_their_arrays_give_equal_results():
+    # signs cross every boundary as plain +-1 arrays or as SignVectors alike
+    rng = np.random.default_rng(19)
+    shape = Shape((3, 4, 2))
+    svs = [rademacher(n, rng) for n in shape.dims]
+    arrays = [sv.signs for sv in svs]
+    x = rng.standard_normal((3, 5))
+    assert np.array_equal(mix_factor(x, svs[0]), mix_factor(x, arrays[0]))
+    t = DenseTensor(shape, rng.standard_normal(shape.total))
+    assert np.array_equal(mix_tensor(t, svs).data, mix_tensor(t, arrays).data)
+    init = random_model(shape, 2, rng)
+    rows = [rng.integers(0, shape.total // n, size=5) for n in shape.dims]
+    mixed = mix_tensor(t, arrays)
+    by_sv, by_array = (cprand_mix_sweep(mixed, init, s, rows)[0] for s in (svs, arrays))
+    assert all(np.array_equal(a, b) for a, b in zip(by_sv.factors, by_array.factors))
+    op_sv = KfjltOperator(shape, tuple(svs), rows[0])
+    op_arr = KfjltOperator(shape, tuple(arrays), rows[0])
+    assert all(np.array_equal(a, b) for a, b in zip(op_sv.signs, op_arr.signs))
+    assert np.array_equal(materialize_operator(op_sv), materialize_operator(op_arr))
+    psi = rng.standard_normal((6, 3))
+    by_sv, by_array = (distortion_quadratic_form(psi, x[:, 0], s) for s in (svs[0], arrays[0]))
+    assert by_sv == by_array
 
 
 def test_mix_factor_examples():
@@ -122,9 +147,12 @@ def test_operator_validation():
         KfjltOperator(Shape((4,)), (sv,), np.array([0.7, 3.9]))
     with pytest.raises(ValueError, match="integers"):
         KfjltOperator(Shape((4,)), (sv,), np.array([True, False]))
-    # a bare array is refused at construction, not at the first apply
-    with pytest.raises(TypeError, match="sign vector 1 is a ndarray, not a SignVector"):
-        KfjltOperator(Shape((4, 4)), (sv, np.ones(4)), [0])
+    # bare +-1 arrays are accepted; anything else is refused at construction,
+    # not at the first apply
+    assert np.array_equal(KfjltOperator(Shape((4, 4)), (sv, -np.ones(4)), [0]).signs[1], -np.ones(4))
+    for bad in (np.full(4, 0.5), np.ones((1, 4))):
+        with pytest.raises(ValueError, match=r"signs must be a 1-D vector of \+-1 entries"):
+            KfjltOperator(Shape((4, 4)), (sv, bad), [0])
     # float and bool row counts are refused, not handed to numpy
     for m in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=f"^m {m} is not an integer$"):
@@ -220,7 +248,7 @@ def test_factored_degree_one_equals_fjlt():
     fop = FjltOperator.from_seed(seed, 16, 5)
     x = np.random.default_rng(11).standard_normal(16)
     # same signs; the row stream is split once more, so compare via matrices
-    assert np.array_equal(fac.operators[0].sign_vectors[0].signs, fop.sign_vectors[0].signs)
+    assert np.array_equal(fac.operators[0].signs[0], fop.signs[0])
     v = KroneckerVector((x,))
     assert np.allclose(
         factored_apply(fac, v), fjlt_apply(fac.operators[0], x), rtol=1e-12
@@ -270,8 +298,8 @@ def kron_dft_rows_reference(op):
     out = []
     for i in range(op.m):
         row = np.ones(1)
-        for n, c, sv in zip(op.shape.dims, coords, op.sign_vectors):
-            row = np.kron(np.fft.fft(np.eye(n)[c[i]], norm="ortho") * sv.signs, row)
+        for n, c, s in zip(op.shape.dims, coords, op.signs):
+            row = np.kron(np.fft.fft(np.eye(n)[c[i]], norm="ortho") * s, row)
         out.append(op.scale * row)
     return np.array(out)
 
@@ -361,6 +389,11 @@ def test_shape_mismatch_errors():
         kfjlt_apply_kron(op, v)
     with pytest.raises(ValueError):
         kfjlt_apply_dense(op, np.ones(15))
+    # a flat array is not a Kronecker vector; the message names its shape
+    fac = FactoredKfjltOperator.from_seed(0, Shape((4, 4)), [2, 2])
+    for apply, o in ((kfjlt_apply_kron, op), (factored_apply, fac)):
+        with pytest.raises(ValueError, match=r"^shape mismatch: vector \(16,\) vs operator Shape"):
+            apply(o, np.ones(16))
     # a batch is N x k; a wrong height or a scalar is refused
     assert kfjlt_apply_dense(op, np.ones((16, 2))).shape == (4, 2)
     for bad in (np.ones((17, 2)), np.float64(1.0)):
