@@ -273,7 +273,7 @@ def cprand_mix_sweep(
     Returns the updated model and the number of degenerate solves (fewer
     sampled rows than columns, or a rank-deficient sketch).
     """
-    signs = tuple(map(np.asarray, signs))
+    signs = tuple(signs)
     shape = model.shape
     if mixed.shape != shape:
         raise ValueError("tensor and model shapes differ")

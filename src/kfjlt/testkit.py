@@ -23,17 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sketch_ls, transforms
-from .kron import (
-    KroneckerVector,
-    ResourceLimitError,
-    Shape,
-    _as_dim,
-    _check_cap,
-    _check_finite,
-    khatri_rao,
-    kron_materialize,
-    kron_norm_sq,
-)
+from .kron import KroneckerVector, ResourceLimitError, Shape, _as_dim, _check_cap, _check_finite, khatri_rao, kron_materialize, kron_norm_sq
 from .sketch_ls import complexify
 
 EXACT_ENUMERATION_LIMIT = 4096  # exact sign enumeration whenever 2^n <= this

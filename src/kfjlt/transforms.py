@@ -60,15 +60,13 @@ def _as_signs(signs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignVector:
-    """Vector of independent uniform +-1 entries; ``np.asarray`` gives ``signs``."""
+    """``rademacher``'s draw of independent uniform +-1 entries; ``np.asarray``
+    gives ``signs``. The entries are checked where they enter an operator."""
 
     signs: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "signs", _as_signs(self.signs))
-
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.signs, dtype=dtype, copy=copy)
+        return np.array(self.signs, dtype=dtype) if copy else np.asarray(self.signs, dtype=dtype)
 
 
 def rademacher(n: int, rng: np.random.Generator) -> SignVector:

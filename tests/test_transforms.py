@@ -70,10 +70,19 @@ def test_mix_modes_batch_axes_and_errors():
 
 
 def test_sign_vector_validation():
-    with pytest.raises(ValueError):
-        SignVector(np.array([1.0, 0.5]))
+    # a SignVector is checked where it enters an operator or the quadratic form
+    bad = SignVector(np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match=r"signs must be a 1-D vector of \+-1 entries"):
+        KfjltOperator(Shape((2,)), (bad,), [0])
+    with pytest.raises(ValueError, match=r"signs must be a 1-D vector of \+-1 entries"):
+        distortion_quadratic_form(np.eye(2), np.ones(2), bad)
     sv = SignVector(np.array([1.0, -1.0, 1.0]))
     assert np.asarray(sv) is sv.signs and np.array_equal(sv.signs, [1.0, -1.0, 1.0])
+    # every array protocol call works: no copy, a copy, a dtype
+    assert sv.__array__() is sv.signs and sv.__array__(copy=False) is sv.signs
+    copied = sv.__array__(copy=True)
+    assert copied is not sv.signs and np.array_equal(copied, sv.signs)
+    assert sv.__array__(np.float32).dtype == np.float32
 
 
 def test_sign_vectors_and_their_arrays_give_equal_results():
