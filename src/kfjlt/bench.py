@@ -230,6 +230,8 @@ def _distortion_methods(config: ExperimentConfig):
 
 def run_distortion(config: ExperimentConfig) -> list[TrialRecord]:
     """Distortion-vs-m study: fresh operator and fresh test vector per trial."""
+    if config.structure == "generic":
+        _check_cap(math.prod(config.shape), "generic distortion vector")
     records = []
     for label, base, degree, sketch in _distortion_methods(config):
         for m in config.m_grid:

@@ -34,7 +34,7 @@ from .sketch_ls import complexify, least_squares, sketch_khatri_rao
 from .transforms import KfjltOperator, _draw_signs, _sample_rows, mix_modes, seed_children
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """d-way dense tensor stored flat in mode-1-fastest order."""
 
@@ -54,7 +54,7 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CpModel:
     """Rank-R CP model given by factor matrices ``A_k`` of size ``n_k x R``."""
 

@@ -82,7 +82,7 @@ class Shape:
         return math.prod(self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KroneckerVector:
     """Factors ``(x_1, ..., x_d)`` representing ``x_d (x) ... (x) x_1``."""
 

@@ -18,7 +18,7 @@ from .kron import Shape, khatri_rao, khatri_rao_rows, _check_cap, _check_finite
 from .transforms import KfjltOperator, kfjlt_apply_dense, mix_factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrlsProblem:
     """Least squares ``min_x ||A x - b||`` with ``A`` a Khatri-Rao product.
 
@@ -108,7 +108,7 @@ def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> tuple[np.n
     return complexify(ca), complexify(cb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchedLsResult:
     solution: np.ndarray
     rank: int

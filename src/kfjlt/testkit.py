@@ -16,13 +16,14 @@ records both counts: ``supports_checked`` (covered) and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sketch_ls, transforms
+from . import cprand, sketch_ls, transforms
 from .kron import KroneckerVector, ResourceLimitError, Shape, _as_dim, _check_cap, _check_finite, khatri_rao, kron_materialize, kron_norm_sq
 from .sketch_ls import complexify
 
@@ -386,6 +387,85 @@ def _worse(worst: float, err: float) -> float:
     return float(np.maximum(worst, err))
 
 
+def _rel_err(got, ref) -> float:
+    return float(np.linalg.norm(got - ref)) / max(float(np.linalg.norm(ref)), 1e-300)
+
+
+def _worst_rel_err(*tables) -> float:
+    return functools.reduce(_worse, (_rel_err(got, ref) for _, got, ref in itertools.chain(*tables)), 0.0)
+
+
+# The seeded oracle case table. Each family draws from default_rng(seed) and
+# yields (case, got, ref), case = (index, dims, rows, replacement, path); case
+# i's operator is from_seed(i). Fast paths are called through their modules.
+ORACLE_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 11, 13)  # unit, prime and composite factor sizes
+
+
+def _random_shape(rng, max_total: int) -> Shape:
+    """1-5 modes drawn from ``ORACLE_SIZES``, redrawn until N is at most ``max_total``."""
+    while True:
+        dims = tuple(int(n) for n in rng.choice(ORACLE_SIZES, size=rng.integers(1, 6)))
+        if math.prod(dims) <= max_total:
+            return Shape(dims)
+
+
+def _random_rows(rng, totals) -> tuple[list[int], bool]:
+    """A row count per total and one replacement flag: with replacement a count may exceed its total."""
+    replacement = bool(rng.random() < 0.6)
+    return [int(rng.integers(1, (2 * n if replacement else n) + 1)) for n in totals], replacement
+
+
+def kfjlt_cases(seed, count: int):
+    """Kronecker and dense paths (a batch equals single calls bit for bit), ``sketch_khatri_rao``; N <= 300."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = _random_shape(rng, 300)
+        (m,), replacement = _random_rows(rng, [shape.total])
+        op = transforms.KfjltOperator.from_seed(i, shape, m, replacement)
+        dense = transforms.materialize_operator(op)
+        v = KroneckerVector(tuple(rng.standard_normal(n) for n in shape.dims))
+        x, y = kron_materialize(v), rng.standard_normal(shape.total)
+        mats = [rng.standard_normal((n, 3)) for n in shape.dims]
+        ref = dense_oracle_apply(dense, x)
+        once, y_once = transforms.kfjlt_apply_dense(op, x), transforms.kfjlt_apply_dense(op, y)
+        case = (i, shape.dims, m, replacement)
+        yield case + ("kron",), transforms.kfjlt_apply_kron(op, v), ref
+        yield case + ("dense",), once, ref
+        yield case + ("generic",), y_once, dense @ y
+        both = transforms.kfjlt_apply_dense(op, np.stack([x, y], axis=1))
+        yield case + ("batched",), both, np.stack([once, y_once], axis=1)
+        yield case + ("khatri-rao",), sketch_ls.sketch_khatri_rao(op, mats), dense @ khatri_rao(mats)
+
+
+def factored_cases(seed, count: int):
+    """``factored_apply``, N <= 300; all row counts 1 past 2^16 dense entries."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = _random_shape(rng, 300)
+        ms, replacement = _random_rows(rng, shape.dims)
+        if math.prod(ms) * shape.total > 1 << 16:
+            ms = [1] * shape.ndim
+        op = transforms.FactoredKfjltOperator.from_seed(i, shape, ms, replacement)
+        v = KroneckerVector(tuple(rng.standard_normal(n) for n in shape.dims))
+        ref = dense_oracle_apply(transforms.materialize_operator(op), kron_materialize(v))
+        yield (i, shape.dims, tuple(ms), replacement, "factored"), transforms.factored_apply(op, v), ref
+
+
+def cp_sweep_cases(seed, count: int):
+    """The sketched CP sweep keeping every row against the exact ALS sweep, factor by factor, N <= 200."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = _random_shape(rng, 200)
+        rest = tuple(shape.total // n for n in shape.dims)
+        rank = max(1, min(3, min(rest) // 2))  # full-rank solves: at most half the smallest system
+        t = cprand.DenseTensor(shape, rng.standard_normal(shape.total))
+        init = cprand.random_model(shape, rank, rng)
+        signs = [transforms.rademacher(n, rng) for n in shape.dims]
+        sketched, _ = cprand.cprand_mix_sweep(cprand.mix_tensor(t, signs), init, signs, [np.arange(r) for r in rest])
+        for k, (a, b) in enumerate(zip(sketched.factors, cprand.cp_als_sweep(t, init).factors), start=1):
+            yield (i, shape.dims, rest, False, f"A_{k}"), a, b
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -396,8 +476,9 @@ class CheckResult:
 def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     """Self-contained verification battery used by the ``verify`` subcommand.
 
-    Covers fast-path/oracle equivalence, mixing unitarity, the FJLT against
-    the dense DFT matrix, operator flatness, the distortion quadratic form, both
+    Covers fast-path/oracle equivalence and the sketched CP sweep (from the
+    seeded case table), mixing unitarity, the FJLT against the dense DFT
+    matrix, operator flatness, the distortion quadratic form, both
     concentration tails under exact enumeration, restricted isometry hand
     cases and consequences, and the sorted-block norm bounds.
     """
@@ -411,27 +492,11 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     ss = np.random.SeedSequence(seed)
     gen = np.random.default_rng(ss.spawn(1)[0])
 
-    # Fast paths against materialized operators.
-    worst = 0.0
-    for dims in [(8,), (4, 4), (3, 4, 5), (2, 3, 2)]:
-        shape = Shape(dims)
-        for i in range(5):
-            op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], shape, m=6)
-            dense = transforms.materialize_operator(op)
-            v = KroneckerVector(tuple(gen.standard_normal(n) for n in dims))
-            xd = kron_materialize(v)
-            ref = dense_oracle_apply(dense, xd)
-            for got in (transforms.kfjlt_apply_kron(op, v), transforms.kfjlt_apply_dense(op, xd)):
-                worst = _worse(worst, float(np.linalg.norm(got - ref) / np.linalg.norm(ref)))
-            a_mats = [gen.standard_normal((n, 3)) for n in dims]
-            got = sketch_ls.sketch_khatri_rao(op, a_mats)
-            ref_kr = dense @ khatri_rao(a_mats)
-            worst = _worse(worst, float(np.linalg.norm(got - ref_kr) / np.linalg.norm(ref_kr)))
-            fac = transforms.FactoredKfjltOperator.from_seed(ss.spawn(1)[0], shape, [2] * len(dims))
-            got = transforms.factored_apply(fac, v)
-            ref_f = dense_oracle_apply(transforms.materialize_operator(fac), xd)
-            worst = _worse(worst, float(np.linalg.norm(got - ref_f) / np.linalg.norm(ref_f)))
+    # Table counts sized to the CPU of the 40 fixed cases they replaced.
+    worst = _worst_rel_err(kfjlt_cases(ss.spawn(1)[0], 10), factored_cases(ss.spawn(1)[0], 6))
     record("oracle-equivalence", worst <= 1e-10, f"max rel err {worst:.2e}")
+    worst = _worst_rel_err(cp_sweep_cases(ss.spawn(1)[0], 4))
+    record("cp-sweep-oracle", worst <= 1e-10, f"max rel err {worst:.2e}")
 
     # Mixing preserves norms; full sampling embeds isometrically.
     worst = 0.0
@@ -446,7 +511,7 @@ def verify_suite(seed: int = 0, verbose: bool = False) -> list[CheckResult]:
     op = transforms.KfjltOperator.from_seed(ss.spawn(1)[0], Shape((16,)), m=5)
     xv = gen.standard_normal(16)
     ref = op.scale * (transforms.dft_matrix(16) @ (op.signs[0] * xv))[op.rows]
-    err = float(np.linalg.norm(transforms.fjlt_apply(op, xv) - ref) / np.linalg.norm(ref))
+    err = _rel_err(transforms.fjlt_apply(op, xv), ref)
     record("fjlt-dft-oracle", err <= 1e-12, f"rel err {err:.2e}")
 
     # Every materialized entry has magnitude 1/sqrt(m).

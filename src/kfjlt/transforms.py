@@ -58,7 +58,7 @@ def _as_signs(signs) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignVector:
     """``rademacher``'s draw of independent uniform +-1 entries; ``np.asarray``
     gives ``signs``. The entries are checked where they enter an operator."""
@@ -66,7 +66,7 @@ class SignVector:
     signs: np.ndarray
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self.signs, dtype=dtype) if copy else np.asarray(self.signs, dtype=dtype)
+        return np.array(self.signs, dtype=dtype, copy=copy)
 
 
 def rademacher(n: int, rng: np.random.Generator) -> SignVector:
@@ -126,7 +126,7 @@ def _sample_rows(n_total: int, m: int, rng: np.random.Generator, replacement: bo
     return rng.choice(n_total, size=m, replace=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KfjltOperator:
     """``sqrt(N/m) S ((x)_{k=d}^1 F_k D_k)`` on a product space: its +-1
     sign arrays and its m sampled rows; the scale follows from m and N."""
@@ -218,7 +218,7 @@ def fjlt_apply(op: KfjltOperator, x) -> np.ndarray:
     return kfjlt_apply_dense(op, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredKfjltOperator:
     """Sample-before-Kronecker variant: one degree-1 ``KfjltOperator`` (an
     FJLT) per factor, outputs Kronecker'd."""

@@ -18,7 +18,7 @@ from kfjlt.bench import (
     summarize,
 )
 from kfjlt.cli import main, parse_m_grid, parse_shape
-from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
+from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, khatri_rao, kron_materialize
 from kfjlt.transforms import materialize_operator
 
 
@@ -161,6 +161,15 @@ def test_distortion_kron_and_generic_share_operators():
     # same trial seeds (hence same operators), different vector structure
     assert [r.seed for r in a] == [r.seed for r in b]
     assert {r.method for r in b} == {"kfjlt-d2-generic"}
+
+
+def test_generic_distortion_checks_the_cap_before_drawing(monkeypatch):
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 63)
+    cfg = _distortion_config(shape=(8, 8), degrees=(2,), m_grid=(4,), structure="generic", trials=1)
+    with pytest.raises(ResourceLimitError, match="generic distortion vector of size 64 exceeds the cap 63"):
+        run_distortion(cfg)
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 64)
+    assert len(run_distortion(cfg)) == 1
 
 
 def test_distortion_factored_variant():

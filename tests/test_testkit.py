@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from kfjlt import sketch_ls, transforms
+from kfjlt import cprand, sketch_ls, transforms
 from kfjlt.cli import main
+from kfjlt.cprand import CpModel
 from kfjlt.kron import ResourceLimitError, Shape
 from kfjlt.sketch_ls import complexify
 from kfjlt.testkit import (
@@ -385,14 +386,20 @@ def test_verify_suite_all_pass():
     (transforms, "kfjlt_apply_dense"),
     (sketch_ls, "sketch_khatri_rao"),
     (transforms, "factored_apply"),
+    (cprand, "cprand_mix_sweep"),
 ])
 def test_verify_fails_on_a_nan_fast_path(monkeypatch, capsys, module, name):
     fast = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: np.full_like(fast(*args), np.nan))
+    if module is cprand:  # CpModel refuses NaN, so the broken sweep doubles every factor
+        check, err = "cp-sweep-oracle", "1.00e+00"
+        monkeypatch.setattr(module, name, lambda *args: (CpModel(tuple(2.0 * a for a in fast(*args)[0].factors)), 0))
+    else:
+        check, err = "oracle-equivalence", "nan"
+        monkeypatch.setattr(module, name, lambda *args: np.full_like(fast(*args), np.nan))
     failed = {r.name for r in verify_suite(seed=0) if not r.passed}
-    assert "oracle-equivalence" in failed
+    assert check in failed
     assert main(["verify"]) == 1
-    assert "[FAIL] oracle-equivalence (max rel err nan)" in capsys.readouterr().out
+    assert f"[FAIL] {check} (max rel err {err})" in capsys.readouterr().out
 
 
 def test_rip_full_width_equals_gram_deviation():

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kfjlt.cprand import DenseTensor, cprand_mix_sweep, mix_tensor, random_model
+from kfjlt.cprand import CpModel, DenseTensor, cprand_mix_sweep, mix_tensor, random_model
 from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, kron_materialize, kron_norm_sq
+from kfjlt.sketch_ls import KrlsProblem, SketchedLsResult
 from kfjlt.testkit import dense_oracle_apply, distortion_quadratic_form
 from kfjlt.transforms import (
     FactoredKfjltOperator,
@@ -125,17 +126,6 @@ def test_mix_factor_examples():
         mix_factor(np.ones(4), sv)
 
 
-def test_fjlt_matches_dense_oracle():
-    rng = np.random.default_rng(2)
-    op = FjltOperator.from_seed(5, 16, 6)
-    dense = materialize_operator(op)
-    for _ in range(20):
-        x = rng.standard_normal(16)
-        assert np.allclose(
-            fjlt_apply(op, x), dense_oracle_apply(dense, x), rtol=1e-10, atol=1e-12
-        )
-
-
 def test_fjlt_exhaustive_is_isometric():
     rng = np.random.default_rng(3)
     op = KfjltOperator.exhaustive(9, Shape((32,)))
@@ -199,16 +189,6 @@ def test_kfjlt_fast_paths_match_oracle(dims):
         assert np.linalg.norm(kfjlt_apply_dense(op, y) - ref_y) <= 1e-10 * np.linalg.norm(ref_y)
 
 
-def test_kron_and_dense_paths_agree():
-    shape = Shape((3, 4, 5))
-    rng = np.random.default_rng(6)
-    op = KfjltOperator.from_seed(1, shape, m=12)
-    v = KroneckerVector(tuple(rng.standard_normal(n) for n in shape.dims))
-    a = kfjlt_apply_kron(op, v)
-    b = kfjlt_apply_dense(op, kron_materialize(v))
-    assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
-
-
 def test_degree_one_collapse_bit_identical():
     # the FJLT is the degree-1 KFJLT: same type, and both apply paths agree bit for bit
     op = FjltOperator.from_seed(np.random.SeedSequence(77), 16, 5)
@@ -225,18 +205,6 @@ def test_kfjlt_exhaustive_preserves_norm():
     v = KroneckerVector(tuple(rng.standard_normal(n) for n in shape.dims))
     out = kfjlt_apply_kron(op, v)
     assert float(np.vdot(out, out).real) == pytest.approx(kron_norm_sq(v), rel=1e-10)
-
-
-def test_factored_apply_matches_oracle():
-    shape = Shape((4, 3, 2))
-    rng = np.random.default_rng(10)
-    op = FactoredKfjltOperator.from_seed(4, shape, [2, 2, 2])
-    assert op.m == 8
-    dense = materialize_operator(op)
-    for _ in range(10):
-        v = KroneckerVector(tuple(rng.standard_normal(n) for n in shape.dims))
-        ref = dense_oracle_apply(dense, kron_materialize(v))
-        assert np.allclose(factored_apply(op, v), ref, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 1, 4)])
@@ -426,3 +394,20 @@ def test_materialized_flatness_all_operator_kinds():
     assert np.abs(np.abs(materialize_operator(fop)) - 1 / math.sqrt(3)).max() <= 1e-12
     fac = FactoredKfjltOperator.from_seed(7, Shape((4, 3)), [2, 2])
     assert np.abs(np.abs(materialize_operator(fac)) - 1 / math.sqrt(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KroneckerVector((np.ones(2), np.ones(3))),
+    lambda: KfjltOperator.from_seed(0, Shape((4, 4)), 3),
+    lambda: FactoredKfjltOperator.from_seed(0, Shape((4, 4)), [2, 2]),
+    lambda: rademacher(4, np.random.default_rng(0)),
+    lambda: CpModel((np.ones((2, 2)), np.ones((3, 2)))),
+    lambda: DenseTensor(Shape((2, 2)), np.ones(4)),
+    lambda: KrlsProblem((np.ones((2, 2)), np.ones((3, 2))), np.ones(6)),
+    lambda: SketchedLsResult(np.ones(2), 2, False),
+], ids=lambda make: type(make()).__name__)
+def test_array_holding_types_compare_by_identity(make):
+    # the generated __eq__ would compare array fields and raise "truth value ... ambiguous"
+    x = make()
+    assert (x == x) is True
+    assert (x == make()) is False
