@@ -38,7 +38,6 @@ from .transforms import (
     FactoredKfjltOperator,
     KfjltOperator,
     distortion_ratio,
-    factored_apply,
     kfjlt_apply_dense,
     kfjlt_apply_kron,
     seed_children,
@@ -199,7 +198,7 @@ def _sample_after(shape: Shape, replacement: bool, apply, op_ss, v, m: int):
 def _sample_before(shape: Shape, replacement: bool, op_ss, v, m: int):
     """Sample-before-Kronecker sketch: one FJLT per factor, outputs Kronecker'd."""
     op = FactoredKfjltOperator.from_seed(op_ss, shape, factored_row_counts(m, shape.ndim), replacement)
-    return factored_apply(op, v), op.m
+    return kfjlt_apply_kron(op, v), op.m
 
 
 def _gaussian(dense, op_ss, v, m: int):

