@@ -17,8 +17,10 @@ The sketched loop ("mix once, sample every solve"):
 3. Solve the complexified least squares for the real factor ``A_k``.
 
 The inner solves never touch all N tensor entries. Tracking the fit does:
-``fit`` rebuilds the N-entry model after every sweep, under the
-materialization cap.
+``fit`` reads every entry once per sweep, but it never rebuilds the model.
+It forms one slab of the last mode at a time (several when slabs are short),
+so its temporaries are ``max(N / n_d, 4096)`` entries or so, and it does not
+read the materialization cap.
 """
 
 from __future__ import annotations
@@ -142,15 +144,38 @@ def reconstruct(model: CpModel) -> DenseTensor:
     return DenseTensor(shape, data)
 
 
-def _residual_norm(t: DenseTensor, model: CpModel) -> np.float64:
-    """``||X - M||_F``: the one rebuild of the N-entry model behind both
-    ``fit`` and ``objective``."""
-    return np.linalg.norm(t.data - reconstruct(model).data)
+# Consecutive slabs smaller than this many entries are subtracted together, so
+# a long last mode does not pay a Python round trip per short slab.
+_SLAB_BLOCK_ENTRIES = 1 << 12
+
+
+def _residual_norm(t: DenseTensor, model: CpModel) -> float:
+    """``||X - M||_F`` one slab of the last mode at a time, behind both
+    ``fit`` and ``objective``.
+
+    Slab k of X is the contiguous chunk of data where mode d is k; read as
+    ``(N / (n_1 n_d), n_1)`` it is the transposed mode-1 unfolding of
+    ``X[..., k]``, and the model's slab is ``Z @ (A_1 * A_d[k]).T`` with
+    ``Z`` the Khatri-Rao product of the middle factors (one row of ones for
+    d = 2; a 1-way tensor is one slab). The difference is taken directly,
+    so nothing cancels near an exact fit. Slabs of ``_SLAB_BLOCK_ENTRIES`` or
+    more are taken one by one; shorter ones in blocks of about that size.
+    """
+    first, *middle = model.factors
+    last = middle.pop() if middle else np.ones((1, model.rank))
+    z = khatri_rao(middle) if middle else np.ones((1, model.rank))
+    slabs = t.data.reshape(last.shape[0], -1, first.shape[0])
+    step = -(-_SLAB_BLOCK_ENTRIES // slabs[0].size)
+    sq = 0.0
+    for k in range(0, last.shape[0], step):
+        r = slabs[k : k + step] - z @ (first * last[k : k + step, None]).transpose(0, 2, 1)
+        sq += np.vdot(r, r)
+    return math.sqrt(sq)
 
 
 def objective(t: DenseTensor, model: CpModel) -> float:
     """Squared Frobenius misfit ``||X - M||^2``."""
-    return float(_residual_norm(t, model) ** 2)
+    return _residual_norm(t, model) ** 2
 
 
 def fit(t: DenseTensor, model: CpModel) -> float:
@@ -158,7 +183,7 @@ def fit(t: DenseTensor, model: CpModel) -> float:
     scale = t.norm()
     if scale == 0:
         raise ValueError("fit undefined for the zero tensor")
-    return 1.0 - float(_residual_norm(t, model)) / scale
+    return 1.0 - _residual_norm(t, model) / scale
 
 
 def _check_cp_inputs(t: DenseTensor, rank: int, init: CpModel | None, max_sweeps: int, fit_tol: float):
@@ -250,7 +275,7 @@ def mix_tensor(t: DenseTensor, signs) -> DenseTensor:
     signs = tuple(signs)
     if len(signs) != t.shape.ndim:
         raise ValueError("need one sign vector per mode")
-    arr = mix_modes(t.as_array().astype(np.complex128), signs)
+    arr = mix_modes(t.as_array(), signs)
     return DenseTensor(t.shape, arr.reshape(-1, order="F"))
 
 

@@ -99,15 +99,26 @@ def mix_modes(t, signs) -> np.ndarray:
 
     Axes after the last sign vector are batch axes, mixed independently.
     This is the one mixing kernel of the package; it preserves 2-norms.
+
+    The result is one owned complex128 buffer in ``t``'s memory layout: the
+    first sign flip writes it, every later step works in place, and ``t`` is
+    never written. With no sign vectors it is a complex copy of ``t``.
     """
     t = np.asarray(t)
     if len(signs) > t.ndim:
         raise ValueError(f"{len(signs)} sign vectors for a {t.ndim}-axis array")
+    buf, src = np.empty_like(t, dtype=np.complex128), t
     for axis, s in enumerate(map(np.asarray, signs)):
         if s.shape != (t.shape[axis],):
             raise ValueError(f"axis {axis} has length {t.shape[axis]} but its sign vector has shape {s.shape}")
-        t = np.fft.fft(t * s.reshape((-1,) + (1,) * (t.ndim - axis - 1)), axis=axis, norm="ortho")
-    return t
+        # The first flip multiplies in t's own dtype and only then casts, so a
+        # real t's imaginary parts are +0 bit for bit as in ``fft(t * s)``.
+        np.multiply(src, s.reshape((-1,) + (1,) * (t.ndim - axis - 1)), out=buf)
+        np.fft.fft(buf, axis=axis, norm="ortho", out=buf)
+        src = buf
+    if src is t:
+        buf[...] = t
+    return buf
 
 
 def mix_factor(x, signs) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from kfjlt.cprand import (
     CpModel,
     _gather_unfolding_rows,
+    _residual_norm,
     DenseTensor,
     cp_als,
     cp_als_sweep,
@@ -21,7 +22,7 @@ from kfjlt.cprand import (
     reconstruct,
     unfold,
 )
-from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
+from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, khatri_rao, kron_materialize
 from kfjlt.sketch_ls import KrlsProblem, solve_sketched_ls
 from kfjlt.transforms import KfjltOperator, materialize_operator, rademacher
 
@@ -191,21 +192,59 @@ def test_fit_examples():
 
 
 @pytest.mark.parametrize("run", ALS_RUNS.values(), ids=ALS_RUNS.keys())
-def test_cp_als_rebuilds_the_model_once_per_sweep(monkeypatch, run):
+def test_als_takes_one_slab_residual_per_sweep_and_never_rebuilds(monkeypatch, run):
     rng = np.random.default_rng(25)
     shape = Shape((5, 4, 3))
     t = DenseTensor(shape, rng.standard_normal(shape.total))
     calls = []
 
-    def counting_reconstruct(model):
-        calls.append(model)
-        return reconstruct(model)
+    def counting_residual(*args):
+        calls.append(args)
+        return _residual_norm(*args)
 
-    monkeypatch.setattr("kfjlt.cprand.reconstruct", counting_reconstruct)
+    def no_rebuild(model):
+        raise AssertionError("the ALS loop rebuilt the N-entry model")
+
+    monkeypatch.setattr("kfjlt.cprand._residual_norm", counting_residual)
+    monkeypatch.setattr("kfjlt.cprand.reconstruct", no_rebuild)
     result = run(t, max_sweeps=10, fit_tol=0.0)
     assert result.sweeps_run >= 2
     assert len(calls) == result.sweeps_run
+    monkeypatch.undo()
     assert result.fits[-1] == fit(t, result.model)
+
+
+@pytest.mark.parametrize(
+    "dims, rank",
+    [((7,), 3), ((7,), 1), ((4, 5), 2), ((1, 6), 2), ((6, 1), 3), ((4, 3, 5), 3), ((1, 3, 4), 2),
+     ((4, 3, 1), 2), ((3, 4, 5), 1), ((3, 2, 4, 5), 2), ((1, 2, 3, 1), 3),
+     ((64, 70, 3), 2), ((3, 2, 1000), 2), ((2, 3000), 3)],
+)
+def test_slab_residual_matches_the_reconstructed_model(dims, rank):
+    # the slab edge cases: d = 1..4, n_1 = 1, n_d = 1 and rank 1; slabs long
+    # enough to go one by one, and short slabs in blocks with a partial last one
+    rng = np.random.default_rng(sum(dims) + 100 * rank)
+    shape = Shape(dims)
+    t = DenseTensor(shape, rng.standard_normal(shape.total))
+    model = random_model(shape, rank, rng)
+    residual = np.linalg.norm(t.data - reconstruct(model).data)
+    assert fit(t, model) == pytest.approx(1.0 - residual / t.norm(), rel=1e-13)
+    assert objective(t, model) == pytest.approx(residual**2, rel=1e-13)
+
+
+def test_cp_runs_above_the_materialization_cap(monkeypatch):
+    # neither ALS method forms the N-entry model, so the cap does not bound them
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 100)
+    rng = np.random.default_rng(27)
+    factors = [rng.standard_normal((n, 2)) for n in (6, 5, 4)]
+    x = np.einsum("ir,jr,kr->ijk", *factors)
+    t = DenseTensor(Shape((6, 5, 4)), x.reshape(-1, order="F"))
+    with pytest.raises(ResourceLimitError):
+        reconstruct(CpModel(tuple(factors)))
+    for result in (cprand_mix(t, 2, m=12, seed=0, max_sweeps=10), cp_als(t, 2, seed=0, max_sweeps=10)):
+        model = np.einsum("ir,jr,kr->ijk", *result.model.factors)
+        dense_fit = 1.0 - np.linalg.norm(x - model) / np.linalg.norm(x)
+        assert result.fits[-1] == pytest.approx(dense_fit, abs=1e-12)
 
 
 @pytest.mark.parametrize("run", ALS_RUNS.values(), ids=ALS_RUNS.keys())

@@ -70,6 +70,40 @@ def test_mix_modes_batch_axes_and_errors():
         mix_modes(np.ones(3), (svs[0], svs[1]))
 
 
+def mix_modes_by_copies(t, signs):
+    """Reference: a fresh array for every flip and every FFT."""
+    t = np.asarray(t)
+    for axis, s in enumerate(map(np.asarray, signs)):
+        t = np.fft.fft(t * s.reshape((-1,) + (1,) * (t.ndim - axis - 1)), axis=axis, norm="ortho")
+    return t
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize(
+    "dims, n_signs",
+    [((7,), 1), ((1,), 1), ((4, 1, 3), 3), ((1, 5), 2), ((3, 4, 2), 3), ((3, 4, 5), 2), ((2, 3, 2, 4), 1), ((3, 2), 0)],
+)
+def test_mix_modes_bitwise_matches_a_copy_per_step(dims, n_signs, order, complex_input):
+    # one owned buffer, flipped and transformed in place, gives the same bits
+    # as a fresh array per step; axes past the sign vectors are batch axes
+    rng = np.random.default_rng(sum(dims) * 10 + n_signs)
+    t = rng.standard_normal(dims)
+    if complex_input:
+        t = t + 1j * rng.standard_normal(dims)
+    t = np.asarray(t, order=order)
+    before = t.copy()
+    signs = [rademacher(n, rng).signs for n in dims[:n_signs]]
+    got = mix_modes(t, signs)
+    want = mix_modes_by_copies(t, signs)
+    assert got.dtype == np.complex128 and got.shape == t.shape
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):  # signed zeros too
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+    assert np.array_equal(t, before)
+    assert not np.shares_memory(got, t)
+
+
 def test_sign_vector_validation():
     # a SignVector is checked where it enters an operator or the quadratic form
     bad = SignVector(np.array([1.0, 0.5]))
