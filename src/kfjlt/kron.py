@@ -157,6 +157,21 @@ def khatri_rao(matrices) -> np.ndarray:
     return out
 
 
+def khatri_rao_matvec(matrices, x) -> np.ndarray:
+    """``khatri_rao(matrices) @ x`` for ``x`` of shape ``(R,)`` or ``(R, c)``,
+    without forming the N x R product.
+
+    With ``Z`` the Khatri-Rao product of all but the last matrix (one row of
+    ones for d = 1), the rows where mode d is k are ``Z @ (M_d[k] * x)``, so
+    temporaries are ``N / n_d x R`` besides the output, checked against the cap.
+    """
+    *rest, last = [np.asarray(m) for m in matrices]
+    x = np.asarray(x)
+    _check_cap(math.prod(m.shape[0] for m in rest) * last.shape[1], "Khatri-Rao product of all but the last factor")
+    z = khatri_rao(rest) if rest else np.ones((1, last.shape[1]))
+    return (z @ (last[:, :, None] * x.reshape(last.shape[1], -1))).reshape((-1,) + x.shape[1:])
+
+
 def khatri_rao_rows(matrices, rows) -> np.ndarray:
     """Selected rows of ``khatri_rao(matrices)`` without forming the product.
 

@@ -1,10 +1,11 @@
 """Sketched overdetermined least squares for Khatri-Rao structured systems.
 
-The coefficient matrix ``A = A_d (.) ... (.) A_1`` (N x R) is never formed on
-the sketching path: each factor matrix is mixed once, and sampled rows of the
-mixed Khatri-Rao product are assembled from per-factor row lookups. The
-complex sketch is turned into a real system by stacking real parts over
-imaginary parts (an exact isometry), and solved by an orthogonal
+The coefficient matrix ``A = A_d (.) ... (.) A_1`` (N x R) is never formed. On
+the sketching path each factor matrix is mixed once, and sampled rows of the
+mixed Khatri-Rao product are assembled from per-factor row lookups; the exact
+reference of ``residual_ratio`` works from the N / n_d x R product of the
+first d-1 factors. The complex sketch is made real by stacking real parts
+over imaginary parts (an exact isometry), and solved by an orthogonal
 factorization rather than normal equations.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kron import Shape, khatri_rao, khatri_rao_rows, _check_cap, _check_finite
+from .kron import Shape, khatri_rao, khatri_rao_matvec, khatri_rao_rows, _check_cap, _check_finite
 from .transforms import KfjltOperator, kfjlt_apply_dense, mix_factor
 
 
@@ -141,24 +142,23 @@ class ResidualReport:
 
 
 def residual_ratio(problem: KrlsProblem, x_hat) -> ResidualReport:
-    a, exact = _exact_residual(problem)
-    return _residual_report(a, problem.rhs, exact, x_hat)
+    """Report for ``x_hat`` against the exact minimum, found without forming A.
 
-
-def _exact_residual(problem: KrlsProblem) -> tuple[np.ndarray, float]:
-    """Dense oracle: the materialized Khatri-Rao product and the exact
-    minimum residual."""
-    _check_cap(problem.shape.total * problem.ncols, "materialized Khatri-Rao product")
-    a = khatri_rao(problem.factor_matrices)
-    x, _, _, _ = np.linalg.lstsq(a, problem.rhs, rcond=None)
-    return a, float(np.linalg.norm(a @ x - problem.rhs))
-
-
-def _residual_report(a, b, exact: float, x_hat) -> ResidualReport:
-    """Report for ``x_hat`` against the materialized ``a`` and the exact
-    residual already found for it, so one solve serves many ``x_hat``."""
-    achieved = float(np.linalg.norm(a @ np.asarray(x_hat) - b))
-    rhs_scale = max(1.0, float(np.linalg.norm(b)))
-    if exact <= 1e-12 * rhs_scale:
+    With ``Z = Q T`` the reduced QR of the Khatri-Rao product of all but the
+    last factor, the rows of A where mode d is k are ``Q T diag(A_d[k])``, so
+    the exact solution minimizes ``||S x - c||`` for the stacked
+    ``S = [T diag(A_d[k])]_k`` and ``c = [Q^T b_k]_k``. Both residuals are
+    then taken directly, so nothing cancels near a zero residual.
+    """
+    *rest, last = problem.factor_matrices
+    b = problem.rhs
+    _check_cap(problem.shape.total // last.shape[0] * problem.ncols, "Khatri-Rao product of all but the last factor")
+    q, t = np.linalg.qr(khatri_rao(rest) if rest else np.ones((1, problem.ncols)))
+    c = (q.T @ b.reshape((last.shape[0], q.shape[0], -1))).reshape((-1,) + b.shape[1:])
+    x_star = least_squares((t * last[:, None]).reshape(-1, problem.ncols), c)[0]
+    exact, achieved = (
+        float(np.linalg.norm(khatri_rao_matvec(problem.factor_matrices, x) - b)) for x in (x_star, x_hat)
+    )
+    if exact <= 1e-12 * max(1.0, float(np.linalg.norm(b))):
         return ResidualReport(achieved, achieved, exact, True)
     return ResidualReport(achieved / exact, achieved, exact, False)

@@ -163,10 +163,6 @@ class KfjltOperator:
             raise ValueError("row indices out of range")
 
     @property
-    def degree(self) -> int:
-        return self.shape.ndim
-
-    @property
     def m(self) -> int:
         return self.rows.size
 

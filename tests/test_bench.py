@@ -198,20 +198,35 @@ def test_ls_runner():
 
 def test_ls_runner_builds_each_problem_once(monkeypatch):
     import kfjlt.bench as bench
-    import kfjlt.sketch_ls as sketch_ls
 
-    built, kr_calls, solves = [], [], []
-    make, khatri_rao, exact = bench.make_ls_problem, sketch_ls.khatri_rao, bench._exact_residual
+    built, kr_rows, solved = [], [], []
+    make, solve, product = bench.make_ls_problem, bench.solve_sketched_ls, khatri_rao
     monkeypatch.setattr(bench, "make_ls_problem", lambda cfg, trial: built.append(trial) or make(cfg, trial))
-    monkeypatch.setattr(bench, "_exact_residual", lambda problem: solves.append(1) or exact(problem))
+
+    def recorded(problem, op):
+        solved.append((problem, solve(problem, op)))
+        return solved[-1][1]
+
+    def counted(mats):
+        out = product(mats)
+        kr_rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(bench, "solve_sketched_ls", recorded)
+    monkeypatch.setattr("kfjlt.kron.khatri_rao", counted)
+    monkeypatch.setattr("kfjlt.sketch_ls.khatri_rao", counted)
+    # the cap admits the length-64 rhs but not the 64 x 2 Khatri-Rao product
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 64)
     cfg = ExperimentConfig(kind="ls", shape=(4, 4, 4), m_grid=(8, 32), trials=2, seed=7, rank=2)
-    run_ls(cfg)
+    records = run_ls(cfg)
     assert built == [0, 1]
-    assert len(solves) == 2  # the exact problem is solved once per trial, not once per m
-    # the residual ratio materializes the Khatri-Rao product once
-    monkeypatch.setattr(sketch_ls, "khatri_rao", lambda mats: kr_calls.append(1) or khatri_rao(mats))
-    sketch_ls.residual_ratio(make(cfg, 0), np.zeros(2))
-    assert len(kr_calls) == 1
+    assert kr_rows and 64 not in kr_rows  # only N / n_d-row products are formed
+    monkeypatch.undo()  # the dense oracle below needs the default cap
+    assert len(solved) == len(records)
+    for record, (problem, result) in zip(records, solved):
+        a, b = khatri_rao(problem.factor_matrices), problem.rhs
+        exact = np.linalg.norm(a @ np.linalg.lstsq(a, b, rcond=None)[0] - b)
+        assert record.value == pytest.approx(np.linalg.norm(a @ result.solution - b) / exact, rel=1e-12)
 
 
 def test_cprand_runner():
@@ -415,7 +430,7 @@ def test_cli_config_file_negative_and_boolean_values(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ls", "--shape", "8x8", "--rank", "2"],  # 8 * 8 * 2 = 128 entries of A
+    ["ls", "--shape", "8x16", "--rank", "2"],  # a 128-entry rhs
     ["cprand", "--shape", "5x5x5", "--rank", "1", "--sweeps", "2"],  # 125 entries
     ["distortion", "--shape", "4x8", "--gaussian"],  # a 32-entry vector, a 4 x 32 sketch
 ], ids=["ls", "cprand", "gaussian"])
@@ -426,6 +441,7 @@ def test_cli_cap_breach_exits_2_before_allocating(tmp_path, capsys, monkeypatch,
         raise AssertionError("a dense product was formed before the cap check")
 
     monkeypatch.setattr("kfjlt.bench.khatri_rao", no_product)
+    monkeypatch.setattr("kfjlt.bench.khatri_rao_matvec", no_product)
     monkeypatch.setattr("kfjlt.cprand.khatri_rao", no_product)
     out = tmp_path / "out.csv"
     assert main([*argv, "--m-list", "4", "--trials", "1", "--out", str(out)]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kfjlt.kron import KroneckerVector, Shape, khatri_rao, kron_materialize
+from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, khatri_rao, khatri_rao_matvec, kron_materialize
 from kfjlt.sketch_ls import (
     KrlsProblem,
     build_sketched_system,
@@ -110,19 +110,70 @@ def test_sketched_system_structure():
     assert np.array_equal(rhs, complexify(kfjlt_apply_dense(op, problem.rhs)))
 
 
-def test_residual_ratio_examples():
+# (dims, rank, rhs) checked against a dense lstsq on the formed product;
+# rhs is a vector, a 3-column matrix, or a vector in the column span of A.
+RESIDUAL_CASES = {
+    "d1": ((7,), 3, "vector"),
+    "d2": ((4, 3), 2, "vector"),
+    "d3": ((3, 4, 2), 3, "vector"),
+    "d4": ((2, 3, 2, 3), 4, "vector"),
+    "first-mode-1": ((1, 5, 3), 3, "vector"),
+    "last-mode-1": ((4, 3, 1), 3, "vector"),
+    "rank-1": ((4, 3), 1, "vector"),
+    "slab-below-rank": ((2, 2, 5), 6, "vector"),  # N / n_d = 4 rows for R = 6
+    "duplicate-column": ((4, 3, 2), 3, "duplicate"),
+    "matrix-rhs": ((4, 3, 2), 3, "matrix"),
+    "rhs-in-span": ((4, 3, 2), 3, "in-span"),
+}
+
+
+@pytest.mark.parametrize("dims, rank, rhs", RESIDUAL_CASES.values(), ids=RESIDUAL_CASES.keys())
+def test_residual_ratio_examples(dims, rank, rhs):
     rng = np.random.default_rng(11)
-    factors = tuple(rng.standard_normal((n, 2)) for n in (4, 3))
+    factors = [rng.standard_normal((n, rank)) for n in dims]
+    if rhs == "duplicate":
+        for f in factors:
+            f[:, -1] = f[:, 0]
     a = khatri_rao(factors)
-    b = rng.standard_normal(12)
-    problem = KrlsProblem(factors, b)
+    x = rng.standard_normal((rank, 3) if rhs == "matrix" else rank)
+    assert np.linalg.norm(khatri_rao_matvec(factors, x) - a @ x) <= 1e-12 * np.linalg.norm(a @ x)
+    b = a @ rng.standard_normal(rank) if rhs == "in-span" else rng.standard_normal((a.shape[0],) + x.shape[1:])
+    problem = KrlsProblem(tuple(factors), b)
     x_star = np.linalg.lstsq(a, b, rcond=None)[0]
+    exact = np.linalg.norm(a @ x_star - b)
+    report = residual_ratio(problem, x)
+    assert report.achieved_residual == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12)
+    if rhs == "in-span":
+        assert report.flagged_zero_residual and report.value == report.achieved_residual
+        assert max(report.exact_residual, exact) <= 1e-12 * np.linalg.norm(b)
+        return
+    assert not report.flagged_zero_residual
+    assert report.exact_residual == pytest.approx(exact, rel=1e-12)
     assert residual_ratio(problem, x_star).value == pytest.approx(1.0, abs=1e-12)
     # x = 0 with b orthogonal to col(A): zero is already optimal
     q, _ = np.linalg.qr(a)
-    b_perp = b - q @ (q.T @ b)
-    problem_perp = KrlsProblem(factors, b_perp)
-    assert residual_ratio(problem_perp, np.zeros(2)).value == pytest.approx(1.0, rel=1e-10)
+    problem_perp = KrlsProblem(tuple(factors), b - q @ (q.T @ b))
+    assert residual_ratio(problem_perp, np.zeros(x.shape)).value == pytest.approx(1.0, rel=1e-10)
+
+
+def test_residual_ratio_checks_the_slab_product_against_the_cap(monkeypatch):
+    # a unit last mode makes the (N / n_d) x R product as large as A itself
+    factors = (np.ones((4, 3)), np.ones((4, 3)), np.ones((1, 3)))
+    problem = KrlsProblem(factors, np.ones(16))
+
+    def no_product(mats):
+        raise AssertionError("a Khatri-Rao product was formed before the cap check")
+
+    monkeypatch.setattr("kfjlt.kron.khatri_rao", no_product)
+    monkeypatch.setattr("kfjlt.sketch_ls.khatri_rao", no_product)
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 47)
+    for call in (lambda: khatri_rao_matvec(factors, np.ones(3)), lambda: residual_ratio(problem, np.ones(3))):
+        with pytest.raises(ResourceLimitError, match="all but the last factor of size 48 exceeds the cap 47"):
+            call()
+    monkeypatch.undo()
+    monkeypatch.setattr("kfjlt.kron.DEFAULT_MATERIALIZE_CAP", 48)
+    assert np.array_equal(khatri_rao_matvec(factors, np.ones(3)), np.full(16, 3.0))
+    assert residual_ratio(problem, np.ones(3) / 3).flagged_zero_residual
 
 
 def test_residual_ratio_never_below_one():

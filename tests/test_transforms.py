@@ -209,7 +209,7 @@ def test_degree_one_collapse_bit_identical():
     # the FJLT is the degree-1 KFJLT: same type, and both apply paths agree bit for bit
     op = FjltOperator.from_seed(np.random.SeedSequence(77), 16, 5)
     assert isinstance(op, KfjltOperator)
-    assert op.degree == 1 and op.shape == Shape((16,)) and op.m == 5
+    assert op.shape.ndim == 1 and op.shape == Shape((16,)) and op.m == 5
     x = np.random.default_rng(8).standard_normal(16)
     assert np.array_equal(fjlt_apply(op, x), kfjlt_apply_kron(op, KroneckerVector((x,))))
 
@@ -253,7 +253,7 @@ def test_factored_degree_one_equals_fjlt():
     fop = FjltOperator.from_seed(seed, 16, 5)
     x = np.random.default_rng(11).standard_normal(16)
     # same signs; the row stream is split once more, so only the signs agree
-    assert fac.degree == 1 and fac.m == 5
+    assert fac.shape.ndim == 1 and fac.m == 5
     assert np.array_equal(fac.signs[0], fop.signs[0])
     v = KroneckerVector((x,))
     assert np.allclose(factored_apply(fac, v), fjlt_apply(fac, x), rtol=1e-12)
