@@ -105,8 +105,8 @@ def build_sketched_system(problem: KrlsProblem, op: KfjltOperator) -> tuple[np.n
     if problem.rhs.ndim == 1:
         cb = kfjlt_apply_dense(op, problem.rhs)
     else:
-        # Per column: since mix_modes owns one buffer a batched call peaks no
-        # higher, but it took 0.18-0.20 s of ls benchmark CPU, not 0.16-0.17 s.
+        # Per column: at 64^3 with 8 columns the loop took 24-28 ms and one
+        # batched call 25-33 ms, at m = 200 to 3200 (1 BLAS thread, 2 vCPU).
         cb = np.stack([kfjlt_apply_dense(op, col) for col in problem.rhs.T], axis=1)
     return complexify(ca), complexify(cb)
 

@@ -4,7 +4,8 @@ One operator type, ``KfjltOperator``, is ``sqrt(N/m) S (F_d D_d (x) ... (x)
 F_1 D_1)`` on a product space: ``F D_xi`` is the unitary DFT after a random
 sign flip, and rows are sampled from the full Kronecker mixing. The fast path
 on Kronecker vectors mixes each factor once and traces sampled linear indices
-back to per-factor indices. Two constructors build particular cases:
+back to per-factor indices; the dense path mixes real input into a half
+spectrum. Two constructors build particular cases:
 
 * ``FjltOperator`` -- the degree-1 case, the FJLT ``sqrt(n/m) S F D_xi``
   from a flat length n; ``fjlt_apply`` applies it.
@@ -93,6 +94,19 @@ def dft_matrix(n: int) -> np.ndarray:
     return _dft_rows(n, np.arange(n))
 
 
+def _mix_axes(buf, src, signs, first=0) -> np.ndarray:
+    """Flip and DFT ``buf`` in place along axes ``first, ...``; the first flip reads ``src``, returned if unread."""
+    for axis, s in enumerate(map(np.asarray, signs), first):
+        if s.shape != (buf.shape[axis],):
+            raise ValueError(f"axis {axis} has length {buf.shape[axis]} but its sign vector has shape {s.shape}")
+        # The first flip multiplies in src's own dtype and only then casts, so a
+        # real src's imaginary parts are +0 bit for bit as in ``fft(src * s)``.
+        np.multiply(src, s.reshape((-1,) + (1,) * (buf.ndim - axis - 1)), out=buf)
+        np.fft.fft(buf, axis=axis, norm="ortho", out=buf)
+        src = buf
+    return src
+
+
 def mix_modes(t, signs) -> np.ndarray:
     """Apply ``F_k D_k`` along axis k for the k-th +-1 sign vector: flip signs,
     then take the unitary DFT ``y[j] = n**-0.5 * sum_l x[l] exp(-2 pi i j l / n)``.
@@ -107,16 +121,8 @@ def mix_modes(t, signs) -> np.ndarray:
     t = np.asarray(t)
     if len(signs) > t.ndim:
         raise ValueError(f"{len(signs)} sign vectors for a {t.ndim}-axis array")
-    buf, src = np.empty_like(t, dtype=np.complex128), t
-    for axis, s in enumerate(map(np.asarray, signs)):
-        if s.shape != (t.shape[axis],):
-            raise ValueError(f"axis {axis} has length {t.shape[axis]} but its sign vector has shape {s.shape}")
-        # The first flip multiplies in t's own dtype and only then casts, so a
-        # real t's imaginary parts are +0 bit for bit as in ``fft(t * s)``.
-        np.multiply(src, s.reshape((-1,) + (1,) * (t.ndim - axis - 1)), out=buf)
-        np.fft.fft(buf, axis=axis, norm="ortho", out=buf)
-        src = buf
-    if src is t:
+    buf = np.empty_like(t, dtype=np.complex128)
+    if _mix_axes(buf, t, signs) is t:
         buf[...] = t
     return buf
 
@@ -209,15 +215,24 @@ def kfjlt_apply_dense(op: KfjltOperator, x) -> np.ndarray:
     """Apply the operator to a vector of length N, or to each column of an
     ``N x k`` array (trailing axes are batch axes).
 
-    Reshapes x as a d-way tensor (mode 1 fastest), mixes along every mode,
-    and gathers the sampled entries.
+    Mixes x, reshaped mode 1 fastest, into the half spectrum ``H`` that
+    ``rfft`` keeps along mode 1; by Hermitian symmetry, row ``i_1 > n_1 // 2``
+    is ``conj(H[n_1 - i_1, -i_2, ..., -i_d])``. Complex x is mixed by parts.
     """
     x = np.asarray(x)
     if x.ndim < 1 or x.shape[0] != op.shape.total:
         raise ValueError(f"expected vector of length {op.shape.total}, got {x.shape}")
-    batch = x.shape[1:]
-    t = mix_modes(x.reshape(op.shape.dims + batch, order="F"), op.signs)
-    return op.scale * t.reshape((-1,) + batch, order="F")[op.rows]
+    if np.iscomplexobj(x):
+        return kfjlt_apply_dense(op, x.real) + 1j * kfjlt_apply_dense(op, x.imag)
+    batch, (s1, *rest), n1 = x.shape[1:], op.signs, op.shape.dims[0]
+    t = x.reshape(op.shape.dims + batch, order="F")
+    half = np.fft.rfft(t * s1.reshape((-1,) + (1,) * (t.ndim - 1)), axis=0, norm="ortho")
+    coords = np.array(multi_index_array(op.shape, op.rows))
+    flip = coords[0] > n1 // 2
+    coords *= 1 - 2 * flip  # a negative index counts from the end: -i_k mod n_k
+    coords[0] += n1 * flip
+    out = _mix_axes(half, half, rest, 1)[tuple(coords)]
+    return op.scale * np.conjugate(out, out=out, where=flip.reshape((-1,) + (1,) * len(batch)))
 
 
 def fjlt_apply(op: KfjltOperator, x) -> np.ndarray:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kfjlt
 from kfjlt.kron import KroneckerVector, ResourceLimitError, Shape, khatri_rao, khatri_rao_matvec, kron_materialize
 from kfjlt.sketch_ls import (
     KrlsProblem,
@@ -59,8 +65,44 @@ def test_sketch_khatri_rao_degree_one():
     fop = FjltOperator.from_seed(seed, 16, 6)
     a = np.random.default_rng(4).standard_normal((16, 3))
     got = sketch_khatri_rao(op, [a])
+    # mix_factor is the kernel of both the Khatri-Rao sketch and the Kronecker path
+    kron = np.stack([kfjlt_apply_kron(op, KroneckerVector((a[:, j],))) for j in range(3)], axis=1)
+    assert np.array_equal(got, kron)
+    # fjlt_apply mixes real input through rfft, so it agrees to rounding only
     per_column = np.stack([fjlt_apply(fop, a[:, j]) for j in range(3)], axis=1)
-    assert np.array_equal(got, per_column)
+    for ref in (per_column, materialize_operator(op) @ a):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+# The sketched ls system and solution at the ls benchmark's 64^3, rank 10, m=800,
+# reduced to one digest.
+BLAS_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from kfjlt.kron import Shape
+from kfjlt.sketch_ls import KrlsProblem, build_sketched_system, solve_sketched_ls
+from kfjlt.transforms import KfjltOperator
+rng = np.random.default_rng(19)
+factors = tuple(rng.standard_normal((64, 10)) for _ in range(3))
+problem = KrlsProblem(factors, rng.standard_normal((64 ** 3, 2)))
+op = KfjltOperator.from_seed(20, Shape((64, 64, 64)), m=800)
+arrays = (*build_sketched_system(problem, op), solve_sketched_ls(problem, op).solution)
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+
+
+def test_sketched_ls_bit_identical_across_blas_thread_counts():
+    # mixing, gathering and the small QR solve give the same bits whether
+    # OpenBLAS runs on one thread or two
+    src = str(Path(kfjlt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREAD_PROBE], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_solve_exact_under_full_sampling():

@@ -416,6 +416,25 @@ def test_degenerate_unit_factors_allowed():
     assert np.allclose(kfjlt_apply_dense(op, kron_materialize(v)), ref, rtol=1e-10, atol=1e-14)
 
 
+HALF_SPECTRUM_SHAPES = [(n1,) + (3, 4, 2)[:d - 1] for d in range(1, 5) for n1 in (1, 2, 3, 4, 5, 8)]
+
+
+@pytest.mark.parametrize("dims", HALF_SPECTRUM_SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+def test_dense_half_spectrum_gather_against_oracle(dims):
+    # every row once: i_1 = 0, the Nyquist row i_1 = n_1 / 2, and every row
+    # i_1 > n_1 // 2 that is read through its conjugate mirror
+    op = KfjltOperator.exhaustive(31, Shape(dims))
+    dense = materialize_operator(op)
+    x = np.random.default_rng(32).standard_normal((op.shape.total, 3))
+    for xs in (x, np.asfortranarray(x), x[:, 0], x[:, 0] + 1j * x[:, 1]):
+        ref = dense @ xs
+        assert np.linalg.norm(kfjlt_apply_dense(op, xs) - ref) <= 1e-12 * np.linalg.norm(ref)
+    for xs in (x, np.asfortranarray(x)):
+        batch = kfjlt_apply_dense(op, xs)
+        for j in range(3):
+            assert np.array_equal(batch[:, j], kfjlt_apply_dense(op, x[:, j]))
+
+
 def test_materialized_flatness_all_operator_kinds():
     fop = FjltOperator.from_seed(6, 8, 3)
     assert np.abs(np.abs(materialize_operator(fop)) - 1 / math.sqrt(3)).max() <= 1e-12
